@@ -7,15 +7,29 @@ Counting therefore runs over set partitions of the edge set:
 
     count = sum over valid partitions with j classes of r(r-1)...(r-j+1)
 
-which visits at most Bell(m) states for m edges, independent of r, and
-yields every r at once.  Partitions are enumerated as restricted growth
-strings; a branch dies as soon as some k-clique has all C(k,2) edges
-placed into C(k,2) distinct classes.  Once two edges of a clique share a
-class the clique can never become rainbow, so its tracking is switched
-off for the whole subtree.
+which yields every r at once.  The weights factor before anything is
+enumerated.  Edges are linked when they share a k-clique; the classes of
+that linkage are the blocks, and edges in no k-clique are free.  Whether a
+partition is valid depends only on its restriction to each block, so the
+count for r colors is r^free times the product of the blocks' counts.  In
+the falling-factorial basis x^(j) = x(x-1)...(x-j+1) that product is
 
-Edges are placed in order of decreasing k-clique participation so that
-constraints bite early.
+    x^(a) x^(b) = sum_t C(a,t) C(b,t) t! x^(a+b-t)
+
+(merge t classes of one side with t of the other), and the free edges
+contribute the Stirling row S(free, j), their unconstrained weights.  A
+K_k-free host is the case of no blocks.  Coefficient j of a product needs
+only input coefficients <= j, so capping every factor at max_classes
+classes is exact.
+
+Each block is enumerated on its own, visiting at most Bell(m_b) states for
+its m_b edges.  Partitions are enumerated as restricted growth strings; a
+branch dies as soon as some k-clique has all C(k,2) edges placed into
+C(k,2) distinct classes.  Once two edges of a clique share a class the
+clique can never become rainbow, so its tracking is switched off for the
+whole subtree.  Edges are placed in order of decreasing k-clique
+participation so that constraints bite early.  Work caps are checked
+against the sum of the blocks' partition bounds; free edges cost nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -32,7 +46,6 @@ from .exactmath import falling_factorial, stirling2_row
 from .graphs import (
     Graph,
     cliques,
-    count_cliques,
     enumerate_graphs,
     extremal_number,
     parse_graph6,
@@ -44,21 +57,26 @@ DEFAULT_EDGE_CAP = 15
 SPLIT_DEPTH = 4  # partition-prefix depth for parallel work splitting
 
 
-def _constraint_index(g: Graph, k: int):
-    """Edge placement order plus, per placement position, the k-cliques
-    through that edge (cliques indexed into `sizes`)."""
-    qs = cliques(g, k)
-    eid_sets = [
-        tuple(g.edge_id(u, v) for u, v in itertools.combinations(q, 2)) for q in qs
+def _clique_edge_sets(g: Graph, k: int) -> list:
+    """The edge ids of every k-clique, one tuple per clique."""
+    return [
+        tuple(g.edge_id(u, v) for u, v in itertools.combinations(q, 2))
+        for q in cliques(g, k)
     ]
-    m = g.edge_count
-    participation = [0] * m
+
+
+def _placement_index(edges, eid_sets):
+    """(edge_cliques, clique_sizes) for placing `edges` in order of
+    decreasing participation in the cliques `eid_sets`, which must lie
+    inside `edges`: per placement position, the indices of the cliques
+    through that edge, and per clique, its edge count."""
+    participation = dict.fromkeys(edges, 0)
     for eids in eid_sets:
         for e in eids:
             participation[e] += 1
-    order = sorted(range(m), key=lambda e: (-participation[e], e))
+    order = sorted(edges, key=lambda e: (-participation[e], e))
     pos = {e: i for i, e in enumerate(order)}
-    edge_cliques = [[] for _ in range(m)]
+    edge_cliques = [[] for _ in order]
     for qi, eids in enumerate(eid_sets):
         for e in eids:
             edge_cliques[pos[e]].append(qi)
@@ -68,14 +86,52 @@ def _constraint_index(g: Graph, k: int):
     )
 
 
-def _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, prefix):
+def _constraint_index(g: Graph, k: int):
+    """Placement index of the whole edge set, free edges included: the
+    undecomposed input that the tests' reference enumeration runs on."""
+    return _placement_index(range(g.edge_count), _clique_edge_sets(g, k))
+
+
+def _blocks(g: Graph, k: int):
+    """(free, blocks): the number of edges in no k-clique, and one
+    (sorted edge ids, clique edge-id tuples) pair per class of edges linked
+    by shared k-cliques, in order of each class's first clique."""
+    eid_sets = _clique_edge_sets(g, k)
+    root = list(range(g.edge_count))
+
+    def find(e: int) -> int:
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    for eids in eid_sets:
+        for e in eids[1:]:
+            root[find(e)] = find(eids[0])
+    grouped = {}
+    for eids in eid_sets:
+        grouped.setdefault(find(eids[0]), []).append(eids)
+    blocks = [(sorted({e for eids in qs for e in eids}), qs) for qs in grouped.values()]
+    return g.edge_count - sum(len(edges) for edges, _ in blocks), blocks
+
+
+def _work_estimate(blocks, max_classes: int) -> int:
+    return sum(estimate_partition_work(len(edges), max_classes) for edges, _ in blocks)
+
+
+def _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, prefix, depth=None):
     """Count valid partitions extending `prefix` (class of edge 0..d-1),
-    bucketed by total class count.  Returns a list of length m+1."""
+    bucketed by total class count; returns a list of length m+1.  Given a
+    `depth`, return instead the restricted-growth prefixes of that length
+    that no clique constraint kills, in lexicographic order."""
     nq = len(clique_sizes)
     cl_mask = [0] * nq
     cl_cnt = [0] * nq
     cl_safe = [False] * nq
     weights = [0] * (m + 1)
+    classes = list(prefix) + [0] * (m - len(prefix))
+    prefixes = []
+    end = m if depth is None else depth
 
     def place(i: int, c: int):
         """Apply one placement; returns (ok, trail)."""
@@ -111,70 +167,58 @@ def _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, prefix):
         used = max(used, c + 1)
 
     def rec(i: int, used: int):
-        if i == m:
-            weights[used] += 1
+        if i == end:
+            if depth is None:
+                weights[used] += 1
+            else:
+                prefixes.append(tuple(classes[:end]))
             return
         top = used + 1 if used < max_classes else used
         for c in range(top):
             ok, trail = place(i, c)
             if ok:
+                classes[i] = c
                 rec(i + 1, used + 1 if c == used else used)
             unplace(trail)
 
     rec(len(prefix), used)
-    return weights
-
-
-def _valid_prefixes(m, edge_cliques, clique_sizes, max_classes, depth):
-    """All restricted-growth prefixes of the given depth that no clique
-    constraint already kills, in lexicographic order."""
-    out = []
-    prefix = []
-
-    nq = len(clique_sizes)
-    cl_mask = [0] * nq
-    cl_cnt = [0] * nq
-    cl_safe = [False] * nq
-
-    def rec(i: int, used: int):
-        if i == depth:
-            out.append(tuple(prefix))
-            return
-        top = used + 1 if used < max_classes else used
-        for c in range(top):
-            trail = []
-            ok = True
-            bit = 1 << c
-            for q in edge_cliques[i]:
-                if cl_safe[q]:
-                    continue
-                if cl_mask[q] & bit:
-                    cl_safe[q] = True
-                    trail.append((q, True, 0))
-                else:
-                    cl_mask[q] |= bit
-                    cl_cnt[q] += 1
-                    trail.append((q, False, bit))
-                    if cl_cnt[q] == clique_sizes[q]:
-                        ok = False
-                        break
-            if ok:
-                prefix.append(c)
-                rec(i + 1, used + 1 if c == used else used)
-                prefix.pop()
-            for q, was_safe, b in reversed(trail):
-                if was_safe:
-                    cl_safe[q] = False
-                else:
-                    cl_mask[q] ^= b
-                    cl_cnt[q] -= 1
-
-    rec(0, 0)
-    return out
+    return weights if depth is None else prefixes
 
 
 def _prefix_task(args):
     return _weights_from_prefix(*args)
+
+
+def _block_weights(edges, eid_sets, max_classes: int, workers: int) -> list:
+    """Partition weights of one block, split across worker processes by
+    valid depth-SPLIT_DEPTH prefixes when workers > 1."""
+    m = len(edges)
+    args = (m, *_placement_index(edges, eid_sets), min(max_classes, m))
+    if workers <= 1 or m <= SPLIT_DEPTH:
+        return _weights_from_prefix(*args, ())
+    prefixes = _weights_from_prefix(*args, (), SPLIT_DEPTH)
+    totals = [0] * (m + 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for w in pool.map(_prefix_task, [args + (p,) for p in prefixes]):
+            for j, x in enumerate(w):
+                totals[j] += x
+    return totals
+
+
+def _falling_product(a, b, top: int) -> list:
+    """Falling-factorial coefficients of the product of the polynomials with
+    falling-factorial coefficients a and b, through index `top` (zero
+    above): x^(i) x^(j) = sum_t C(i,t) C(j,t) t! x^(i+j-t)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if not y:
+                continue
+            for t in range(max(0, i + j - top), min(i, j) + 1):
+                out[i + j - t] += x * y * comb(i, t) * comb(j, t) * factorial(t)
+    return out
 
 
 def partition_weights(
@@ -187,34 +231,27 @@ def partition_weights(
     """weights[j] = number of edge-set partitions into exactly j classes in
     which no k-clique occupies C(k,2) distinct classes; classes beyond
     max_classes are not explored (their falling-factorial weight is zero
-    at the corresponding r)."""
+    at the corresponding r).  Free edges and blocks are counted apart and
+    combined exactly; work_cap bounds the blocks' summed enumeration."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
     m = g.edge_count
     if max_classes is None or max_classes > m:
         max_classes = m
-    if count_cliques(g, k) == 0:
-        row = stirling2_row(m)
-        return tuple(row[j] if j <= max_classes else 0 for j in range(m + 1))
+    free, blocks = _blocks(g, k)
     if work_cap is not None:
-        est = estimate_partition_work(m, max_classes)
+        est = _work_estimate(blocks, max_classes)
         if est > work_cap:
             raise CapExceeded(
                 f"estimated {est} partitions exceeds work cap {work_cap}",
                 estimate=est,
                 cap=work_cap,
             )
-    edge_cliques, clique_sizes = _constraint_index(g, k)
-    if workers <= 1 or m <= SPLIT_DEPTH:
-        return tuple(
-            _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, ())
-        )
-    prefixes = _valid_prefixes(m, edge_cliques, clique_sizes, max_classes, SPLIT_DEPTH)
-    tasks = [(m, edge_cliques, clique_sizes, max_classes, p) for p in prefixes]
-    totals = [0] * (m + 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w in pool.map(_prefix_task, tasks):
-            for j, x in enumerate(w):
-                totals[j] += x
-    return tuple(totals)
+    weights = stirling2_row(free)
+    for edges, eid_sets in blocks:
+        block = _block_weights(edges, eid_sets, max_classes, workers)
+        weights = _falling_product(weights, block, max_classes)
+    return tuple(w if j <= max_classes else 0 for j, w in enumerate(weights))
 
 
 def estimate_partition_work(m: int, max_classes: int) -> int:
@@ -229,8 +266,8 @@ def count_colorings(
 ) -> int:
     """Number of r-edge-colorings of g with no rainbow k-clique, exact.
 
-    If r < C(k,2) or g has no k-clique, no coloring can be rainbow and the
-    answer is r^e(g) directly.
+    If r < C(k,2), no coloring can be rainbow and the answer is r^e(g)
+    directly.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -239,7 +276,7 @@ def count_colorings(
     if k < 3:
         raise ValueError("k must be >= 3")
     m = g.edge_count
-    if r < comb(k, 2) or count_cliques(g, k) == 0:
+    if r < comb(k, 2):
         return r ** m
     weights = partition_weights(
         g, k, max_classes=min(r, m), workers=workers, work_cap=work_cap
@@ -302,10 +339,7 @@ def brute_force_count(g: Graph, r: int, k: int = 4, cap: int = DEFAULT_ORACLE_CA
         )
     if m == 0:
         return 1
-    eid_sets = [
-        tuple(g.edge_id(u, v) for u, v in itertools.combinations(q, 2))
-        for q in cliques(g, k)
-    ]
+    eid_sets = _clique_edge_sets(g, k)
     ck2 = comb(k, 2)
     pairs = list(itertools.combinations(range(ck2), 2))
     powers = np.array([r ** i for i in range(m)], dtype=np.int64)
@@ -387,11 +421,10 @@ def rho_max_search(
         for g in graphs:
             if g.n != n:
                 raise ValueError(f"stream graph has {g.n} vertices, expected {n}")
-    if work_cap is not None:
-        est = 0
-        for g in graphs:
-            if r >= comb(k, 2) and count_cliques(g, k) > 0:
-                est += estimate_partition_work(g.edge_count, min(r, g.edge_count))
+    if not graphs:
+        raise ValueError("no graphs to search")
+    if work_cap is not None and r >= comb(k, 2):
+        est = sum(_work_estimate(_blocks(g, k)[1], r) for g in graphs)
         if est > work_cap:
             raise CapExceeded(
                 f"estimated {est} partition states exceeds work cap {work_cap}",

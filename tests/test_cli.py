@@ -246,6 +246,20 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
     assert code == 3
 
 
+def test_work_cap_counts_blocks(capsys):
+    # two K4s sharing a vertex: the blocks cost 2 * Bell(6) = 406 partitions
+    recs, _ = run_json(["count", "--graph", "F~CWw", "-r", "12", "--work-cap", "1000"], capsys)
+    assert recs[0]["count"] == str(count_colorings(complete_graph(4), 12, 4) ** 2)
+
+
+def test_search_empty_input_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    code, out, err = run_cli(["search", "-n", "5", "-r", "6", "--input", str(empty)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "invalid-argument", "message": "no graphs to search"}
+
+
 def test_exit_code_usage_error(capsys):
     code, _, err = run_cli(["count", "--graph", K4_G6, "-r", "99"], capsys)
     assert code == 2
@@ -273,7 +287,10 @@ def test_template_parse_error_exit(tmp_path, capsys):
 
 
 def test_console_script_subprocess(tmp_path):
-    env = dict(os.environ, RTL_CACHE=str(tmp_path / "c.jsonl"))
+    # the child imports the same rtlab as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, RTL_CACHE=str(tmp_path / "c.jsonl"), PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "rtlab.cli", "count", "--graph", K4_G6, "-r", "6"],
         capture_output=True,

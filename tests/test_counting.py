@@ -5,6 +5,7 @@ import pytest
 
 from rtlab.counting import (
     SPLIT_DEPTH,
+    _blocks,
     _constraint_index,
     _weights_from_prefix,
     bounds_compare,
@@ -20,7 +21,10 @@ from rtlab.exactmath import falling_factorial, stirling2_row
 from rtlab.graphs import (
     Graph,
     complete_graph,
+    count_cliques,
     cycle_graph,
+    enumerate_graphs,
+    parse_graph6,
     path_graph,
     turan_graph,
     write_graph6,
@@ -96,6 +100,8 @@ def test_count_rejects_bad_params(k4):
         count_colorings(k4, 65, 4)
     with pytest.raises(ValueError):
         count_colorings(k4, 6, 2)
+    with pytest.raises(ValueError):
+        partition_weights(k4, 1)
 
 
 def test_count_gallai_triangle_case():
@@ -232,6 +238,91 @@ def test_constraint_index_orders_by_participation(k5):
 
 
 # ---------------------------------------------------------------------------
+# decomposition into free edges and blocks, against the undecomposed kernel
+
+K4_R12 = 12 ** 6 - falling_factorial(12, 6)
+TWO_K4 = "F~CWw"  # two K4s sharing a vertex: two 6-edge blocks
+K4_PATH = "H~CGGC@"  # a K4 plus a pendant path of 5 free edges
+
+
+def undecomposed_weights(g, k, max_classes=None):
+    """The kernel run once over the whole edge set, free edges included."""
+    m = g.edge_count
+    top = m if max_classes is None else min(max_classes, m)
+    return tuple(_weights_from_prefix(m, *_constraint_index(g, k), top, ()))
+
+
+def test_blocks_match_undecomposed_all_n5_classes():
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            for k in (3, 4):
+                assert partition_weights(g, k) == undecomposed_weights(g, k), (n, k)
+
+
+def test_blocks_match_undecomposed_n6_k4_hosts(classes6):
+    hosts = [g for g in classes6 if g.edge_count <= 9 and count_cliques(g, 4)]
+    assert len(hosts) == 13
+    for g in hosts:
+        assert partition_weights(g, 4) == undecomposed_weights(g, 4)
+
+
+def test_blocks_match_brute_force_triangles():
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            for r in (3, 4):
+                assert count_colorings(g, r, 3) == brute_force_count(g, r, 3)
+
+
+def test_block_structure():
+    free, blocks = _blocks(parse_graph6(TWO_K4), 4)
+    assert free == 0 and [len(edges) for edges, _ in blocks] == [6, 6]
+    free, blocks = _blocks(parse_graph6(K4_PATH), 4)
+    assert free == 5 and [len(edges) for edges, _ in blocks] == [6]
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    free, blocks = _blocks(bowtie, 3)
+    assert free == 0 and [len(edges) for edges, _ in blocks] == [3, 3]
+    assert _blocks(turan_graph(8, 3), 4) == (21, [])
+
+
+def test_two_block_host():
+    g = parse_graph6(TWO_K4)
+    # the undecomposed kernel visits ~Bell(12) states at k=4 without a low
+    # class cap; at k=3 every triangle prunes, so all caps stay cheap
+    for k, tops in ((4, (0, 1, 2, 3)), (3, (0, 1, 3, 5, 8, 12))):
+        for top in tops:
+            assert partition_weights(g, k, max_classes=top) == undecomposed_weights(g, k, top)
+    assert partition_weights(g, 4, workers=2) == partition_weights(g, 4)
+    assert count_colorings(g, 12, 4, workers=2) == K4_R12 ** 2
+    poly = partition_polynomial(g, 4)
+    assert poly.evaluate(0) == 0
+    for r in range(1, 15):
+        assert poly.evaluate(r) == count_colorings(g, r, 4)
+
+
+def test_block_products_pin_counts():
+    assert count_colorings(parse_graph6(TWO_K4), 12, 4) == K4_R12 ** 2
+    assert count_colorings(parse_graph6(K4_PATH), 12, 4) == K4_R12 * 12 ** 5
+
+
+def test_work_cap_sums_block_estimates():
+    # free edges cost nothing; each 6-edge block costs Bell(6) = 203
+    assert partition_weights(parse_graph6(K4_PATH), 4, work_cap=203)
+    g = parse_graph6(TWO_K4)
+    assert count_colorings(g, 12, 4, work_cap=2 * 203) == K4_R12 ** 2
+    with pytest.raises(CapExceeded) as exc:
+        count_colorings(g, 12, 4, work_cap=2 * 203 - 1)
+    assert exc.value.estimate == 2 * 203
+    # T3(7) plus an edge inside its 3-vertex part: 4 K4s forming one 13-edge
+    # block next to 4 free edges, so at r=12 the bound is Bell(13) - 1
+    t = turan_graph(7, 3)
+    g = Graph(7, t.edges + ((0, 1),))
+    assert count_cliques(g, 4) == 4
+    with pytest.raises(CapExceeded) as exc:
+        count_colorings(g, 12, 4, work_cap=10 ** 7)
+    assert exc.value.estimate == 27644436 == sum(stirling2_row(13)) - 1
+
+
+# ---------------------------------------------------------------------------
 # bounds comparison
 
 
@@ -306,6 +397,11 @@ def test_search_work_cap_refusal():
     with pytest.raises(CapExceeded) as exc:
         rho_max_search(6, 12, 4, work_cap=10 ** 5)
     assert exc.value.estimate > 10 ** 5
+
+
+def test_search_rejects_empty_input():
+    with pytest.raises(ValueError, match="no graphs to search"):
+        rho_max_search(5, 6, 4, graphs=[])
 
 
 def test_search_internal_cap():
