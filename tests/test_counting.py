@@ -312,6 +312,10 @@ def test_work_cap_sums_block_estimates():
     with pytest.raises(CapExceeded) as exc:
         count_colorings(g, 12, 4, work_cap=2 * 203 - 1)
     assert exc.value.estimate == 2 * 203
+    assert rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 203).best_count == K4_R12 ** 2
+    with pytest.raises(CapExceeded) as exc:
+        rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 203 - 1)
+    assert exc.value.estimate == 2 * 203
     # T3(7) plus an edge inside its 3-vertex part: 4 K4s forming one 13-edge
     # block next to 4 free edges, so at r=12 the bound is Bell(13) - 1
     t = turan_graph(7, 3)
