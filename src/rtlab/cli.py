@@ -33,10 +33,29 @@ from .cleaning import (
     xi_from_delta,
 )
 from .containers import build_rainbow_hypergraph, container_hypothesis_check, min_n_for_container
-from .counting import bounds_compare, count_colorings, partition_polynomial, rho_max_search
+from .counting import (
+    DEFAULT_WORK_CAP,
+    bounds_compare,
+    count_colorings,
+    partition_polynomial,
+    rho_max_search,
+)
 from .errors import CapExceeded, Graph6ParseError
-from .graphs import Graph, cliques, closeness_to_kpartite, count_cliques, parse_graph6, write_graph6
-from .templates import Template, complete_template, count_rainbow_copies, template_from_dict
+from .graphs import (
+    cliques,
+    closeness_to_kpartite,
+    count_cliques,
+    graph6_codes,
+    parse_graph6,
+    write_graph6,
+)
+from .templates import (
+    Template,
+    complete_template,
+    count_rainbow_copies,
+    template_from_dict,
+    template_to_json,
+)
 
 DEFAULT_CACHE = os.path.join("~", ".cache", "rtl", "results.jsonl")
 
@@ -67,43 +86,28 @@ def _read_graph_arg(value: str) -> str:
     return value.strip()
 
 
-def _read_stream(path: str):
+def _read_text(path: str) -> str:
     if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line and line != ">>graph6<<":
-            out.append(line)
-    return out
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_stream(path: str) -> list:
+    return list(graph6_codes(_read_text(path).splitlines()))
 
 
 def _load_template(path: str) -> Template:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     try:
-        data = json.loads(text)
-        return template_from_dict(data)
+        return template_from_dict(json.loads(text))
     except Graph6ParseError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad template JSON: {exc}") from exc
-
-
-def _parse_g6(code: str) -> Graph:
-    return parse_graph6(code)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -118,7 +122,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _payload_count(args):
     code, r, k, workers, work_cap = args
-    g = _parse_g6(code)
+    g = parse_graph6(code)
     return {
         "op": "count",
         "graph": code,
@@ -129,9 +133,9 @@ def _payload_count(args):
 
 
 def _payload_poly(args):
-    code, k, edge_cap, work_cap = args
-    g = _parse_g6(code)
-    poly = partition_polynomial(g, k, edge_cap=edge_cap, work_cap=work_cap)
+    code, k, work_cap = args
+    g = parse_graph6(code)
+    poly = partition_polynomial(g, k, work_cap=work_cap)
     return {
         "op": "poly",
         "graph": code,
@@ -143,7 +147,7 @@ def _payload_poly(args):
 
 def _payload_cliques(args):
     code, k, want_list = args
-    g = _parse_g6(code)
+    g = parse_graph6(code)
     payload = {
         "op": "cliques",
         "graph": code,
@@ -157,7 +161,7 @@ def _payload_cliques(args):
 
 def _payload_closeness(args):
     code, k, exact_cap = args
-    g = _parse_g6(code)
+    g = parse_graph6(code)
     res = closeness_to_kpartite(g, k, exact_cap=exact_cap)
     return {
         "op": "closeness",
@@ -171,7 +175,7 @@ def _payload_closeness(args):
 
 def _payload_container_stats(args):
     code, r, materialize, cap = args
-    g = _parse_g6(code)
+    g = parse_graph6(code)
     t = complete_template(g, r)
     stats, _rows = build_rainbow_hypergraph(t, materialize=materialize, cap=cap)
     return {
@@ -201,13 +205,73 @@ def _payload_template_stats(t: Template) -> dict:
     }
 
 
-_BATCH_WORKERS = {
-    "count": _payload_count,
-    "poly": _payload_poly,
-    "cliques": _payload_cliques,
-    "closeness": _payload_closeness,
-    "container-stats": _payload_container_stats,
-}
+def _payload_search(args):
+    n, r, k, codes, workers, work_cap = args
+    graphs = None if codes is None else [parse_graph6(code) for code in codes]
+    report = rho_max_search(n, r, k, graphs=graphs, workers=workers, work_cap=work_cap)
+    return {
+        "op": "search",
+        "n": report.n,
+        "r": report.r,
+        "k": report.k,
+        "classes": len(report.table),
+        "best_graph6": report.best_graph6,
+        "best_count": str(report.best_count),
+        "turan_exponent": report.turan_exponent,
+        "turan_count": str(report.turan_count),
+        "best_attains_turan_bound": report.best_attains_turan_bound,
+        "table": [[code, str(cnt)] for code, cnt in report.table],
+    }
+
+
+def _payload_container_threshold(r: int) -> dict:
+    n_min = min_n_for_container(r)
+    at = container_hypothesis_check(n_min, r)
+    below = container_hypothesis_check(n_min - 1, r) if n_min > 1 else None
+    return {
+        "op": "container-threshold",
+        "r": r,
+        "min_n": str(n_min),
+        "tau_ok_at_min": at.tau_ok,
+        "delta_ok_at_min": at.delta_ok,
+        "passes_below": below.passes if below else False,
+        "tau_threshold": _rat(at.details["tau_threshold"]),
+        "c_ell_bound": str(at.details["c_ell_bound"]),
+    }
+
+
+def _payload_clean(args):
+    t, cfg = args
+    return {"op": "clean", **trace_to_dict(clean(t, cfg))}
+
+
+def _payload_critical(args):
+    t, original_n = args
+    cs = critical_sets(t, original_n=original_n)
+    return {
+        "op": "critical",
+        "triangles": [list(x) for x in cs.triangles],
+        "edges": [list(x) for x in cs.edges],
+        "vertices": list(cs.vertices),
+        "current_n": cs.current_n,
+        "original_n": cs.original_n,
+    }
+
+
+def _payload_supersat(args):
+    n, t, k, e = args
+    iv = supersaturation_interval(n, t, k, e)
+    bound = supersaturation_bound(n, t, k, e)
+    return {
+        "op": "supersat",
+        "n": n,
+        "t": t,
+        "k": k,
+        "edges": e,
+        "lower_bound": _rat(bound),
+        "interval": _interval(iv),
+        "positive": bound > 0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +357,7 @@ def _cmd_count(args, cache):
 
 def _cmd_poly(args, cache):
     codes = _graph_items(args)
-    items = [(code, args.k, args.partition_cap, args.work_cap) for code in codes]
+    items = [(code, args.k, args.work_cap) for code in codes]
     fps = [{"graph": c, "k": args.k} for c in codes]
     return _run_batch("poly", items, fps, _payload_poly, cache, args.workers)
 
@@ -329,80 +393,26 @@ def _cmd_search(args, cache):
         "k": args.k,
         "input": sorted(codes) if codes is not None else None,
     }
-    fp = fingerprint("search", params, __version__)
-    hit = cache.lookup(fp) if cache else None
-    if hit is not None:
-        print(f"# cache hit {fp}", file=sys.stderr)
-        return [hit]
-    graphs = None
-    if codes is not None:
-        graphs = [_parse_g6(code) for code in codes]
-    report = rho_max_search(
-        args.n, args.r, args.k, graphs=graphs, workers=args.workers, work_cap=args.work_cap
-    )
-    payload = {
-        "op": "search",
-        "n": report.n,
-        "r": report.r,
-        "k": report.k,
-        "classes": len(report.table),
-        "best_graph6": report.best_graph6,
-        "best_count": str(report.best_count),
-        "turan_exponent": report.turan_exponent,
-        "turan_count": str(report.turan_count),
-        "best_attains_turan_bound": report.best_attains_turan_bound,
-        "table": [[code, str(cnt)] for code, cnt in report.table],
-    }
+    item = (args.n, args.r, args.k, codes, args.workers, args.work_cap)
+    records = _run_batch("search", [item], [params], _payload_search, cache, args.workers)
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:
-            for code, cnt in report.table:
-                fh.write(json.dumps({"graph": code, "count": str(cnt)}) + "\n")
-    if cache:
-        cache.store(fp, "search", payload, __version__)
-    return [payload]
+            for code, cnt in records[0]["table"]:
+                fh.write(json.dumps({"graph": code, "count": cnt}) + "\n")
+    return records
 
 
 def _cmd_template_stats(args, cache):
     t = _load_template(args.template)
-    fp = fingerprint("template-stats", {"template": _template_key(t)}, __version__)
-    hit = cache.lookup(fp) if cache else None
-    if hit is not None:
-        print(f"# cache hit {fp}", file=sys.stderr)
-        return [hit]
-    payload = _payload_template_stats(t)
-    if cache:
-        cache.store(fp, "template-stats", payload, __version__)
-    return [payload]
-
-
-def _template_key(t: Template) -> str:
-    from .templates import template_to_json
-
-    return template_to_json(t)
+    params = {"template": template_to_json(t)}
+    return _run_batch("template-stats", [t], [params], _payload_template_stats, cache, args.workers)
 
 
 def _cmd_container_threshold(args, cache):
-    fp = fingerprint("container-threshold", {"r": args.r}, __version__)
-    hit = cache.lookup(fp) if cache else None
-    if hit is not None:
-        print(f"# cache hit {fp}", file=sys.stderr)
-        return [hit]
-    n_min = min_n_for_container(args.r)
-    at = container_hypothesis_check(n_min, args.r)
-    below = container_hypothesis_check(n_min - 1, args.r) if n_min > 1 else None
-    payload = {
-        "op": "container-threshold",
-        "r": args.r,
-        "min_n": str(n_min),
-        "tau_ok_at_min": at.tau_ok,
-        "delta_ok_at_min": at.delta_ok,
-        "passes_below": below.passes if below else False,
-        "tau_threshold": _rat(at.details["tau_threshold"]),
-        "c_ell_bound": str(at.details["c_ell_bound"]),
-    }
-    if cache:
-        cache.store(fp, "container-threshold", payload, __version__)
-    return [payload]
+    params = {"r": args.r}
+    return _run_batch(
+        "container-threshold", [args.r], [params], _payload_container_threshold, cache, args.workers
+    )
 
 
 def _resolve_xi(args) -> Fraction:
@@ -418,69 +428,22 @@ def _cmd_clean(args, cache):
     xi = _resolve_xi(args)
     priority = tuple(int(x) for x in args.priority.split(","))
     cfg = CleaningConfig(r=t.r, xi=xi, original_n=t.graph.n, priority=priority)
-    fp = fingerprint(
-        "clean",
-        {"template": _template_key(t), "xi": str(xi), "priority": list(priority)},
-        __version__,
-    )
-    hit = cache.lookup(fp) if cache else None
-    if hit is not None:
-        print(f"# cache hit {fp}", file=sys.stderr)
-        return [hit]
-    trace = clean(t, cfg)
-    payload = {"op": "clean", **trace_to_dict(trace)}
-    if cache:
-        cache.store(fp, "clean", payload, __version__)
-    return [payload]
+    params = {"template": template_to_json(t), "xi": str(xi), "priority": list(priority)}
+    return _run_batch("clean", [(t, cfg)], [params], _payload_clean, cache, args.workers)
 
 
 def _cmd_critical(args, cache):
     t = _load_template(args.template)
     original_n = args.original_n if args.original_n else t.graph.n
-    fp = fingerprint(
-        "critical", {"template": _template_key(t), "original_n": original_n}, __version__
-    )
-    hit = cache.lookup(fp) if cache else None
-    if hit is not None:
-        print(f"# cache hit {fp}", file=sys.stderr)
-        return [hit]
-    cs = critical_sets(t, original_n=original_n)
-    payload = {
-        "op": "critical",
-        "triangles": [list(x) for x in cs.triangles],
-        "edges": [list(x) for x in cs.edges],
-        "vertices": list(cs.vertices),
-        "current_n": cs.current_n,
-        "original_n": cs.original_n,
-    }
-    if cache:
-        cache.store(fp, "critical", payload, __version__)
-    return [payload]
+    item = (t, original_n)
+    params = {"template": template_to_json(t), "original_n": original_n}
+    return _run_batch("critical", [item], [params], _payload_critical, cache, args.workers)
 
 
 def _cmd_supersat(args, cache):
-    fp = fingerprint(
-        "supersat", {"n": args.n, "t": args.t, "k": args.k, "e": args.e}, __version__
-    )
-    hit = cache.lookup(fp) if cache else None
-    if hit is not None:
-        print(f"# cache hit {fp}", file=sys.stderr)
-        return [hit]
-    iv = supersaturation_interval(args.n, args.t, args.k, args.e)
-    bound = supersaturation_bound(args.n, args.t, args.k, args.e)
-    payload = {
-        "op": "supersat",
-        "n": args.n,
-        "t": args.t,
-        "k": args.k,
-        "edges": args.e,
-        "lower_bound": _rat(bound),
-        "interval": _interval(iv),
-        "positive": bound > 0,
-    }
-    if cache:
-        cache.store(fp, "supersat", payload, __version__)
-    return [payload]
+    item = (args.n, args.t, args.k, args.e)
+    params = {"n": args.n, "t": args.t, "k": args.k, "e": args.e}
+    return _run_batch("supersat", [item], [params], _payload_supersat, cache, args.workers)
 
 
 def _cmd_bounds_compare(args, cache):
@@ -518,15 +481,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="graph6 stream file or '-'")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
-    p.add_argument("--work-cap", type=int, default=10 ** 8)
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("poly", parents=[common], help="partition polynomial")
     p.add_argument("--graph", help="graph6 code or '-'")
     p.add_argument("--input", help="graph6 stream file or '-'")
     p.add_argument("-k", type=int, default=4)
-    p.add_argument("--partition-cap", type=int, default=15)
-    p.add_argument("--work-cap", type=int, default=10 ** 8)
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("search", parents=[common], help="maximize the count over n-vertex classes")
@@ -534,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--input", help="graph6 stream of candidate classes")
-    p.add_argument("--work-cap", type=int, default=10 ** 8)
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     p.add_argument("--save-table", help="persist the per-class table as JSONL")
     p.set_defaults(func=_cmd_search)
 

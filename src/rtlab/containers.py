@@ -39,7 +39,13 @@ from .exactmath import (
     sqrt_interval,
 )
 from .graphs import k4_subgraphs
-from .templates import Template, _k4_edge_ids, count_distinct_choices, count_rainbow_copies
+from .templates import (
+    Template,
+    _iter_selections,
+    _k4_edge_ids,
+    count_distinct_choices,
+    count_rainbow_copies,
+)
 
 ELL = 6
 # weights of the co-degree functional at uniformity 6: leading 2^14 with
@@ -170,7 +176,7 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
             )
             rows = flat.reshape(-1, 6) + offs[None, :]
         else:
-            sels = list(_iter_color_tuples(masks))
+            sels = list(_iter_selections(masks))
             if not sels:
                 continue
             rows = np.array(sels, dtype=np.int64) + offs[None, :]
@@ -178,26 +184,6 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
     if not chunks:
         return np.empty((0, 6), dtype=dtype)
     return np.vstack(chunks)
-
-
-def _iter_color_tuples(masks):
-    """Distinct-color selections as 0-based color tuples in edge order."""
-    order = sorted(range(6), key=lambda i: (bin(masks[i]).count("1"), i))
-    chosen = [0] * 6
-
-    def rec(pos, used):
-        if pos == 6:
-            yield tuple(chosen)
-            return
-        i = order[pos]
-        m = masks[i] & ~used
-        while m:
-            bit = m & -m
-            m ^= bit
-            chosen[i] = bit.bit_length() - 1
-            yield from rec(pos + 1, used | bit)
-
-    yield from rec(0, 0)
 
 
 def _combo_key_counts(rows64: np.ndarray, combo, base: int):

@@ -53,7 +53,7 @@ from .graphs import (
 )
 
 DEFAULT_ORACLE_CAP = 10 ** 9
-DEFAULT_EDGE_CAP = 15
+DEFAULT_WORK_CAP = 10 ** 8  # partition states; refuses K6, one 15-edge block (Bell(15))
 SPLIT_DEPTH = 4  # partition-prefix depth for parallel work splitting
 
 
@@ -304,22 +304,8 @@ class PartitionPolynomial:
 
 
 def partition_polynomial(
-    g: Graph,
-    k: int = 4,
-    edge_cap: int = DEFAULT_EDGE_CAP,
-    workers: int = 1,
-    work_cap: int = None,
+    g: Graph, k: int = 4, workers: int = 1, work_cap: int = DEFAULT_WORK_CAP
 ) -> PartitionPolynomial:
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    m = g.edge_count
-    if m > edge_cap:
-        raise CapExceeded(
-            f"{m} edges exceeds the partition cap {edge_cap}; "
-            "use count_colorings for a fixed r instead",
-            estimate=m,
-            cap=edge_cap,
-        )
     weights = partition_weights(g, k, workers=workers, work_cap=work_cap)
     return PartitionPolynomial(g, k, tuple(weights[1:]))
 

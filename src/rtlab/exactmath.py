@@ -38,10 +38,6 @@ def stirling2_row(m: int) -> list:
     return row
 
 
-def bell_number(m: int) -> int:
-    return sum(stirling2_row(m))
-
-
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)) for x >= 0, exact (Newton on big ints)."""
     if x < 0 or n <= 0:
@@ -115,15 +111,6 @@ def iv_pow(a: tuple, k: int) -> tuple:
     if a[0] < 0:
         raise ValueError("iv_pow expects a nonnegative interval")
     return a[0] ** k, a[1] ** k
-
-
-def iv_lt(a: tuple, b: tuple):
-    """True/False when the intervals separate, None when they overlap."""
-    if a[1] < b[0]:
-        return True
-    if a[0] >= b[1]:
-        return False
-    return None
 
 
 def iv_le(a: tuple, b: tuple):

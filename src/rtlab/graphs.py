@@ -415,10 +415,15 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def iter_graph6(lines):
-    """Parse a newline-delimited graph6 stream, skipping blank lines."""
+def graph6_codes(lines):
+    """The codes of a newline-delimited graph6 stream: stripped lines,
+    skipping blank lines and a bare header line."""
     for line in lines:
         line = line.strip()
-        if not line or line == _G6_HEADER:
-            continue
-        yield parse_graph6(line)
+        if line and line != _G6_HEADER:
+            yield line
+
+
+def iter_graph6(lines):
+    """Parse a newline-delimited graph6 stream, skipping blank lines."""
+    return map(parse_graph6, graph6_codes(lines))

@@ -208,24 +208,23 @@ def has_rainbow_k4(t: Template) -> bool:
     return False
 
 
-def _iter_selections(eids, masks):
-    """Backtracking enumeration of distinct-color selections, visiting the
-    smallest lists first so dead branches die early."""
+def _iter_selections(masks):
+    """Backtracking enumeration of distinct-color selections as 0-based
+    color tuples in edge order, visiting the smallest lists first so dead
+    branches die early."""
     order = sorted(range(6), key=lambda i: (bin(masks[i]).count("1"), i))
     chosen = [0] * 6
 
     def rec(pos: int, used: int):
         if pos == 6:
-            yield tuple(
-                sorted((eids[i], chosen[i].bit_length()) for i in range(6))
-            )
+            yield tuple(chosen)
             return
         i = order[pos]
         m = masks[i] & ~used
         while m:
             bit = m & -m
             m ^= bit
-            chosen[i] = bit
+            chosen[i] = bit.bit_length() - 1
             yield from rec(pos + 1, used | bit)
 
     yield from rec(0, 0)
@@ -243,7 +242,8 @@ def rainbow_copies(t: Template):
             for perm in itertools.permutations(range(1, t.r + 1), 6):
                 yield tuple(sorted(zip(eids, perm)))
         else:
-            yield from _iter_selections(eids, masks)
+            for sel in _iter_selections(masks):
+                yield tuple(sorted(zip(eids, (c + 1 for c in sel))))
 
 
 def count_rainbow_copies_through_triangle(

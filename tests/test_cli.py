@@ -2,8 +2,11 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,50 @@ def test_repeat_run_byte_identical_with_cache(capsys):
 # ---------------------------------------------------------------------------
 # cache behavior
 
+# the README's example template
+TEMPLATE_JSON = '{"graph": "C~", "r": 6, "lists": [[1,2],[1],[2,3],[1,2,3,4,5,6],[4],[5,6]]}'
+
+# Every cached subcommand with its pinned fingerprint: a changed key would
+# orphan the records that existing caches hold.
+CACHED_RUNS = [
+    (["count", "--graph", "C~", "-r", "6"], "1deab113f314144b771b99c1f955ad60"),
+    (["poly", "--graph", "C~"], "67ca5ae2c26f7a72564822b1cd3c3dd3"),
+    (["cliques", "--graph", "C~", "-k", "3", "--list"], "7dc0b89021dedc282799144402d33c96"),
+    (["closeness", "--graph", "E~~w", "-k", "3"], "73d16521801d352623a637d3c150577b"),
+    (["container-stats", "--graph", "C~", "-r", "6"], "f6452601d052abcb1d65d1c6382a2396"),
+    (["search", "-n", "4", "-r", "6"], "1172fb9ed958539877d3b6cea5ee5f9d"),
+    (["template-stats", "--template", "T"], "94fcf3b9f6447b6fab2969a5dc1b92ce"),
+    (["container-threshold", "-r", "12"], "c3217f44f868a0bad2333e61bc9bdf43"),
+    (["clean", "--template", "T", "--xi", "1/100"], "ccd71c2eefaac520cbbaefb7487a094d"),
+    (["critical", "--template", "T"], "6600bfb0b9417c3187acac59e778a609"),
+    (["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", "15"], "26712852699bf09a6fc544a075596129"),
+]
+
+
+@pytest.mark.parametrize("argv,fp", CACHED_RUNS, ids=[argv[0] for argv, _ in CACHED_RUNS])
+def test_cached_subcommand_hits_on_repeat(argv, fp, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(TEMPLATE_JSON)
+    argv = [str(path) if a == "T" else a for a in argv]
+    code1, out1, err1 = run_cli(argv, capsys)
+    code2, out2, err2 = run_cli(argv, capsys)
+    assert code1 == code2 == 0
+    assert "cache hit" not in err1
+    assert err2 == f"# cache hit {fp}\n"
+    assert out1 == out2
+
+
+def test_search_saves_table_on_cache_hit(tmp_path, capsys):
+    argv = ["search", "-n", "4", "-r", "6", "--save-table"]
+    run_json(argv + [str(tmp_path / "t1.jsonl")], capsys)
+    recs, err = run_json(argv + [str(tmp_path / "t2.jsonl")], capsys)
+    assert "cache hit" in err
+    saved = (tmp_path / "t2.jsonl").read_text()
+    assert saved == (tmp_path / "t1.jsonl").read_text()
+    assert [json.loads(line) for line in saved.splitlines()] == [
+        {"graph": g, "count": c} for g, c in recs[0]["table"]
+    ]
+
 
 def test_cache_version_bump_invalidates(isolated_cache, monkeypatch, capsys):
     argv = ["count", "--graph", K4_G6, "-r", "6"]
@@ -239,7 +286,7 @@ def test_exit_code_parse_error(capsys):
 
 def test_exit_code_cap_exceeded(tmp_path, capsys):
     big = write_graph6(parse_graph6(write_graph6(complete_graph(6))))
-    code, _, err = run_cli(["poly", "--graph", big, "--partition-cap", "10"], capsys)
+    code, _, err = run_cli(["poly", "--graph", big], capsys)
     assert code == 3
     assert json.loads(err)["error"]["type"] == "cap-exceeded"
     code, _, err = run_cli(["count", "--graph", big, "-r", "12", "--work-cap", "100"], capsys)
@@ -280,6 +327,49 @@ def test_template_parse_error_exit(tmp_path, capsys):
     bad.write_text("{\"graph\": \"C~\", \"r\": 6}")
     code, _, err = run_cli(["template-stats", "--template", str(bad)], capsys)
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_commands():
+    """Argument lists of the README's command-line block, with each
+    [optional part] both left out and put in."""
+    block = README.split("## Command line", 1)[1].split("```")[1]
+    runs = []
+    for line in block.splitlines():
+        if not line.startswith("rtl "):
+            continue
+        for variant in (re.sub(r"\[[^]]*\]", "", line), re.sub(r"\[([^]]*)\]", r"\1", line)):
+            argv = shlex.split(variant, comments=True)[1:]
+            if argv not in runs:
+                runs.append(argv)
+    return runs
+
+
+README_RUNS = _readme_commands()
+
+
+def test_readme_lists_every_subcommand():
+    cached = {argv[0] for argv, _ in CACHED_RUNS}
+    assert {argv[0] for argv in README_RUNS} == cached | {"bounds-compare"}
+
+
+@pytest.mark.parametrize("argv", README_RUNS, ids=[" ".join(a) for a in README_RUNS])
+def test_readme_command_runs(argv, tmp_path, capsys):
+    files = {
+        "classes.g6": ">>graph6<<\n" + "\n".join(write_graph6(g) for g in enumerate_graphs(4)),
+        "t.json": README.split("```json", 1)[1].split("```")[0],
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert out
 
 
 # ---------------------------------------------------------------------------

@@ -210,12 +210,12 @@ def test_polynomial_eval_nondecreasing_in_r(classes4):
 
 
 def test_polynomial_edge_cap():
-    g = turan_graph(8, 3)  # 21 edges
-    with pytest.raises(CapExceeded):
-        partition_polynomial(g, 4)
-    # K4-free shortcut applies once the cap is raised: no enumeration needed
-    poly = partition_polynomial(g, 4, edge_cap=21)
+    # K4-free: 21 free edges, nothing to enumerate, so the default cap passes
+    poly = partition_polynomial(turan_graph(8, 3), 4)
     assert poly.coeffs == tuple(stirling2_row(21)[1:])
+    # K6 is one 15-edge block: Bell(15) partitions exceed the default work cap
+    with pytest.raises(CapExceeded):
+        partition_polynomial(complete_graph(6), 4)
 
 
 def test_partition_weights_max_classes_truncation(k4):
