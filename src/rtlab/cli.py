@@ -32,7 +32,13 @@ from .cleaning import (
     trace_to_dict,
     xi_from_delta,
 )
-from .containers import build_rainbow_hypergraph, container_hypothesis_check, min_n_for_container
+from .containers import (
+    C_ELL_BOUND,
+    TAU_THRESHOLD,
+    build_rainbow_hypergraph,
+    hypothesis_flags,
+    min_n_for_container,
+)
 from .counting import (
     DEFAULT_WORK_CAP,
     bounds_compare,
@@ -226,17 +232,16 @@ def _payload_search(args):
 
 def _payload_container_threshold(r: int) -> dict:
     n_min = min_n_for_container(r)
-    at = container_hypothesis_check(n_min, r)
-    below = container_hypothesis_check(n_min - 1, r) if n_min > 1 else None
+    _, tau_ok, delta_ok = hypothesis_flags(n_min, r)
     return {
         "op": "container-threshold",
         "r": r,
         "min_n": str(n_min),
-        "tau_ok_at_min": at.tau_ok,
-        "delta_ok_at_min": at.delta_ok,
-        "passes_below": below.passes if below else False,
-        "tau_threshold": _rat(at.details["tau_threshold"]),
-        "c_ell_bound": str(at.details["c_ell_bound"]),
+        "tau_ok_at_min": tau_ok,
+        "delta_ok_at_min": delta_ok,
+        "passes_below": n_min > 1 and all(hypothesis_flags(n_min - 1, r)[1:]),
+        "tau_threshold": _rat(TAU_THRESHOLD),
+        "c_ell_bound": str(C_ELL_BOUND),
     }
 
 
@@ -575,7 +580,7 @@ def main(argv=None) -> int:
     except (Graph6ParseError, InputError, json.JSONDecodeError) as exc:
         print(_error_json("parse-error", exc), file=sys.stderr)
         return 4
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(_error_json("invalid-argument", exc), file=sys.stderr)
         return 2
     _emit(records, args.format)

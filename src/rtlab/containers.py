@@ -370,8 +370,6 @@ class ContainerConstants:
     r: int
     epsilon_cubed: Fraction
     tau_sixth: Fraction
-    tau_threshold: Fraction = TAU_THRESHOLD
-    c_ell_bound: int = C_ELL_BOUND
 
     def epsilon_interval(self, digits: int) -> tuple:
         cr = cbrt_interval(Fraction(self.n), digits)
@@ -425,7 +423,7 @@ def _delta_condition_holds(n: int, r: int, digits: int = 40) -> bool:
     raise RuntimeError(f"delta condition undecided at n={n}, r={r}")
 
 
-def _hypothesis_flags(n: int, r: int, digits: int = 40) -> tuple:
+def hypothesis_flags(n: int, r: int, digits: int = 40) -> tuple:
     """(vacuous, tau_ok, delta_ok) without any report plumbing.  The tau
     condition is a pure integer comparison and is checked first."""
     cc = container_constants(n, r)
@@ -445,7 +443,7 @@ def container_hypothesis_check(n: int, r: int, digits: int = 40) -> HypothesisRe
     if n < 1:
         raise ValueError("n must be >= 1")
     cc = container_constants(n, r)
-    vacuous, tau_ok, delta_ok = _hypothesis_flags(n, r, digits)
+    vacuous, tau_ok, delta_ok = hypothesis_flags(n, r, digits)
     eps = cc.epsilon_interval(digits)
     tau = cc.tau_interval(digits)
     details = {
@@ -495,7 +493,7 @@ def min_n_for_container(r: int) -> int:
         raise ValueError("r must be >= 6 (smaller r has an empty hypergraph)")
 
     def passes(n):
-        _, tau_ok, delta_ok = _hypothesis_flags(n, r)
+        _, tau_ok, delta_ok = hypothesis_flags(n, r)
         return tau_ok and delta_ok
 
     hi = 1

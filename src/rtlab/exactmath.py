@@ -38,6 +38,25 @@ def stirling2_row(m: int) -> list:
     return row
 
 
+def _set_partitions(q: int) -> list:
+    """(mu, blocks) for every set partition of {0..q-1}; blocks are bitmasks
+    and mu = prod over blocks B of (-1)^(|B|-1) (|B|-1)! is the Moebius
+    value mu(0, pi) on the partition lattice."""
+    if q == 0:
+        return [(1, ())]
+    bit = 1 << (q - 1)
+    out = []
+    for mu, part in _set_partitions(q - 1):
+        for i, block in enumerate(part):  # a block of size s grows: mu *= -s
+            out.append((-mu * block.bit_count(), part[:i] + (block | bit,) + part[i + 1 :]))
+        out.append((mu, part + (bit,)))
+    return out
+
+
+# SET_PARTITIONS[q] holds the (mu, blocks) rows for q <= 6 items; 203 at q = 6.
+SET_PARTITIONS = tuple(tuple(_set_partitions(q)) for q in range(7))
+
+
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)) for x >= 0, exact (Newton on big ints)."""
     if x < 0 or n <= 0:

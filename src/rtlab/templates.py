@@ -15,6 +15,7 @@ import itertools
 import json
 
 from .errors import UnsupportedSizeError
+from .exactmath import SET_PARTITIONS
 from .graphs import Graph, k4_subgraphs, parse_graph6, write_graph6
 
 MAX_COLORS = 64
@@ -142,41 +143,29 @@ def r_neighborhood(t: Template, v: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Counting distinct-color selections.  Per K4 this is the permanent of the
-# 6-row list/color incidence structure; it is computed by a subset DP over
-# the six edges (process colors one at a time, each color taken by at most
-# one edge), which costs r * 2^6 * 6 instead of visiting every selection.
+# Counting distinct-color selections by Moebius inversion on the lattice of
+# set partitions of the lists: 2^q - 1 list intersections and Bell(q) terms
+# (203 for the six lists of a K4), whatever the number of colors.
 
 def count_distinct_choices(masks, forbidden: int = 0) -> int:
-    """Number of ways to pick pairwise-distinct colors c_i from masks[i],
-    avoiding colors in `forbidden`.  Empty mask list counts 1."""
+    """Number of ways to pick pairwise-distinct colors c_i from masks[i]
+    (at most 6 masks), avoiding colors in `forbidden`: the sum over set
+    partitions pi of mu(0, pi) times, over the blocks B of pi, the product of
+    the number of allowed colors common to every list in B.  Empty mask list counts 1."""
     q = len(masks)
-    if q == 0:
-        return 1
-    avail = 0
-    for m in masks:
-        if m & ~forbidden == 0:
-            return 0
-        avail |= m
-    avail &= ~forbidden
-    if bin(avail).count("1") < q:
-        return 0
-    full = (1 << q) - 1
-    f = [0] * (full + 1)
-    f[0] = 1
-    rng = range(q)
-    while avail:
-        bit = avail & -avail
-        avail ^= bit
-        which = [i for i in rng if masks[i] & bit]
-        for s in range(full, -1, -1):
-            fs = f[s]
-            if fs:
-                for i in which:
-                    ib = 1 << i
-                    if not s & ib:
-                        f[s | ib] += fs
-    return f[full]
+    if q > 6:
+        raise ValueError(f"at most 6 lists, got {q}")
+    inter = [~forbidden] * (1 << q)  # inter[S]: colors allowed on every list in S
+    for s in range(1, 1 << q):
+        low = s & -s
+        inter[s] = inter[s ^ low] & masks[low.bit_length() - 1]
+    size = [x.bit_count() for x in inter]
+    total = 0
+    for mu, blocks in SET_PARTITIONS[q]:
+        for b in blocks:
+            mu *= size[b]
+        total += mu
+    return total
 
 
 def _k4_edge_ids(g: Graph, quad) -> tuple:
@@ -198,14 +187,6 @@ def count_rainbow_copies(t: Template) -> int:
         eids = _k4_edge_ids(t.graph, quad)
         total += count_distinct_choices([t.masks[e] for e in eids])
     return total
-
-
-def has_rainbow_k4(t: Template) -> bool:
-    for quad in k4_subgraphs(t.graph):
-        eids = _k4_edge_ids(t.graph, quad)
-        if count_distinct_choices([t.masks[e] for e in eids]):
-            return True
-    return False
 
 
 def _iter_selections(masks):
@@ -246,13 +227,9 @@ def rainbow_copies(t: Template):
                 yield tuple(sorted(zip(eids, (c + 1 for c in sel))))
 
 
-def count_rainbow_copies_through_triangle(
-    t: Template, tri, sub: Graph = None, count_subgraphs: bool = False
-) -> int:
-    """Rainbow copies whose underlying K4 lies inside `sub` and contains the
-    triangle `tri`.  Counts (edge, color) pair sets by default; with
-    count_subgraphs=True it counts underlying K4 subgraphs that admit at
-    least one rainbow selection instead."""
+def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -> int:
+    """Rainbow copies, as (edge, color) pair sets, whose underlying K4 lies
+    inside `sub` and contains the triangle `tri`."""
     g = t.graph
     if sub is None:
         sub = g
@@ -271,8 +248,7 @@ def count_rainbow_copies_through_triangle(
         ext ^= bit
         quad = tuple(sorted((a, b, c, w)))
         eids = _k4_edge_ids(g, quad)
-        cnt = count_distinct_choices([t.masks[e] for e in eids])
-        total += (1 if cnt else 0) if count_subgraphs else cnt
+        total += count_distinct_choices([t.masks[e] for e in eids])
     return total
 
 

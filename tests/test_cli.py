@@ -307,6 +307,23 @@ def test_search_empty_input_is_usage_error(tmp_path, capsys):
     assert json.loads(err)["error"] == {"type": "invalid-argument", "message": "no graphs to search"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "-n", "4", "-r", "6", "--save-table", "{tmp}/missing/x.jsonl"],
+        ["count", "--graph", "C~", "-r", "6", "--cache", "{tmp}/file/c.jsonl"],
+    ],
+    ids=["save-table", "cache"],
+)
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "invalid-argument"
+    assert "Traceback" not in err
+
+
 def test_exit_code_usage_error(capsys):
     code, _, err = run_cli(["count", "--graph", K4_G6, "-r", "99"], capsys)
     assert code == 2

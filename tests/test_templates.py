@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtlab.errors import UnsupportedSizeError
-from rtlab.exactmath import falling_factorial
+from rtlab.exactmath import SET_PARTITIONS, falling_factorial, stirling2_row
 from rtlab.graphs import Graph, complete_graph
 from rtlab.templates import (
     Template,
     complete_template,
+    count_distinct_choices,
     count_rainbow_copies,
     count_rainbow_copies_through_triangle,
     from_coloring,
-    has_rainbow_k4,
     intersect_templates,
     is_subtemplate,
     lift_template,
@@ -136,6 +136,47 @@ def test_count_matches_brute_on_random_templates():
         assert count_rainbow_copies(t) == brute_rainbow_count(t)
 
 
+# ---------------------------------------------------------------------------
+# distinct-choice kernel
+
+
+def brute_distinct_choices(masks, forbidden: int) -> int:
+    """Oracle: every tuple drawn from the lists minus `forbidden`, counting
+    the tuples whose colors are pairwise distinct."""
+    lists = [[c for c in range(8) if (m & ~forbidden) >> c & 1] for m in masks]
+    return sum(len(set(sel)) == len(sel) for sel in itertools.product(*lists))
+
+
+def test_distinct_choices_match_brute_force():
+    rng = random.Random(2024)
+    for q in range(7):
+        for _ in range(40):
+            sizes = [rng.randint(0, 4) for _ in range(q)]
+            masks = [sum(1 << c for c in rng.sample(range(8), k)) for k in sizes]
+            forbidden = rng.choice((0, rng.getrandbits(8)))
+            expected = brute_distinct_choices(masks, forbidden)
+            assert count_distinct_choices(masks, forbidden) == expected
+    assert count_distinct_choices([0b111, 0, 0b1]) == 0  # an empty list
+    assert count_distinct_choices([0b111, 0b111], forbidden=0b010) == 2
+    assert count_distinct_choices([], forbidden=0b1) == 1
+
+
+def test_distinct_choices_identical_lists():
+    for q in range(7):
+        for s in range(9):
+            assert count_distinct_choices([(1 << s) - 1] * q) == falling_factorial(s, q)
+
+
+def test_partition_table_counts_stirling_numbers():
+    for q, rows in enumerate(SET_PARTITIONS):
+        by_blocks = [0] * (q + 1)
+        for _, blocks in rows:
+            by_blocks[len(blocks)] += 1
+        assert by_blocks == stirling2_row(q)
+    with pytest.raises(ValueError):
+        count_distinct_choices([1] * 7)
+
+
 def test_enumeration_matches_count_and_is_valid():
     rng = random.Random(7)
     for _ in range(20):
@@ -176,7 +217,6 @@ def test_singleton_rainbow_agrees_with_direct_test(k5):
             eids = [k5.edge_id(u, v) for u, v in itertools.combinations(quad, 2)]
             if len({colors[e] for e in eids}) == 6:
                 direct = True
-        assert has_rainbow_k4(t) == direct
         assert (count_rainbow_copies(t) > 0) == direct
 
 
@@ -215,17 +255,6 @@ def test_through_triangle_respects_sub(k5):
     sub2 = Graph(5, [e for e in k5.edges if e != (0, 3)])
     cnt2 = count_rainbow_copies_through_triangle(t, (0, 1, 2), sub=sub2)
     assert cnt2 == falling_factorial(12, 6)  # only w=4 forms a K4 inside sub2
-
-
-def test_through_triangle_subgraph_reading(k5):
-    t = complete_template(k5, 12)
-    assert (
-        count_rainbow_copies_through_triangle(t, (0, 1, 2), count_subgraphs=True) == 2
-    )
-    t5 = complete_template(k5, 5)  # no rainbow selection exists
-    assert (
-        count_rainbow_copies_through_triangle(t5, (0, 1, 2), count_subgraphs=True) == 0
-    )
 
 
 def test_through_triangle_errors(k4, k5):
