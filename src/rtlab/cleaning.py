@@ -293,8 +293,10 @@ class CriticalSets:
 
 
 def critical_sets(t: Template, alive=None, original_n: int = None) -> CriticalSets:
-    alive = sorted(alive) if alive is not None else list(range(t.graph.n))
+    if original_n is not None and original_n < 1:
+        raise ValueError("original_n must be >= 1")
     n = original_n if original_n is not None else t.graph.n
+    alive = sorted(alive) if alive is not None else list(range(t.graph.n))
     n_p = len(alive)
     g = state_graph(t, alive)
     x3 = []

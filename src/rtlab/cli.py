@@ -34,6 +34,7 @@ from .cleaning import (
 )
 from .containers import (
     C_ELL_BOUND,
+    DEFAULT_MATERIALIZE_CAP,
     TAU_THRESHOLD,
     build_rainbow_hypergraph,
     hypothesis_flags,
@@ -439,7 +440,7 @@ def _cmd_clean(args, cache):
 
 def _cmd_critical(args, cache):
     t = _load_template(args.template)
-    original_n = args.original_n if args.original_n else t.graph.n
+    original_n = t.graph.n if args.original_n is None else args.original_n
     item = (t, original_n)
     params = {"template": template_to_json(t), "original_n": original_n}
     return _run_batch("critical", [item], [params], _payload_critical, cache, args.workers)
@@ -514,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="graph6 stream file or '-'")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--materialize", action="store_true")
-    p.add_argument("--materialize-cap", type=int, default=10 ** 7)
+    p.add_argument("--materialize-cap", type=int, default=DEFAULT_MATERIALIZE_CAP)
     p.set_defaults(func=_cmd_container_stats)
 
     p = sub.add_parser("container-threshold", parents=[common], help="least n passing the hypothesis")

@@ -5,7 +5,9 @@ The hypergraph H of a template has vertex set E(G) x [r]; its hyperedges
 are the rainbow K4 copies, so H is 6-uniform.  Two evaluation paths exist
 and must agree where they overlap:
 
-  * materialized: explicit hyperedge rows (any template, capped size);
+  * materialized: explicit hyperedge rows for any lists, produced per K4 by
+    one vectorised distinct-colour enumerator and bounded by a row cap
+    (`--materialize-cap` on the command line);
   * structural: closed-form co-degree case analysis, valid for complete
     templates on complete hosts at any n.
 
@@ -41,7 +43,6 @@ from .exactmath import (
 from .graphs import k4_subgraphs
 from .templates import (
     Template,
-    _iter_selections,
     _k4_edge_ids,
     count_distinct_choices,
     count_rainbow_copies,
@@ -146,9 +147,34 @@ def structural_codegree(t: Template, pairs) -> int:
 # ---------------------------------------------------------------------------
 # Materialized path.
 
+def _selection_rows(masks) -> np.ndarray:
+    """Every distinct-colour selection from six colour lists, as rows of
+    0-based colours in list order.  The lists are expanded smallest first
+    (ties by index); each partial row carries a uint64 word of the colours
+    it has used, and a candidate colour whose bit is already set is dropped.
+    Rows come out in lexicographic order of the colours in expansion order."""
+    order = sorted(range(6), key=lambda i: (masks[i].bit_count(), i))
+    used = np.zeros(1, dtype=np.uint64)
+    steps = []  # per expanded list: (parent row, colour) of every new row
+    for i in order:
+        colors = np.array(
+            [c for c in range(masks[i].bit_length()) if masks[i] >> c & 1], dtype=np.uint64
+        )
+        bits = np.left_shift(np.uint64(1), colors)
+        parent, pick = np.nonzero((used[:, None] & bits) == 0)
+        used = used[parent] | bits[pick]
+        steps.append((parent, colors[pick].astype(np.uint8)))
+    out = np.empty((len(used), 6), dtype=np.uint8)
+    row = slice(None)
+    for i, (parent, color) in zip(reversed(order), reversed(steps)):
+        out[:, i] = color[row]
+        row = parent[row]
+    return out
+
+
 def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndarray:
     """Explicit hyperedges as sorted rows of six hypergraph-vertex ids,
-    id = edge_id * r + (color - 1)."""
+    id = edge_id * r + (color - 1), K4 by K4 in lexicographic vertex order."""
     total = count_rainbow_copies(t)
     if total > cap:
         raise CapExceeded(
@@ -157,33 +183,17 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
             cap=cap,
         )
     r = t.r
-    base = t.graph.edge_count * r
-    dtype = np.uint16 if base <= 0xFFFF else np.int64
-    full = (1 << r) - 1
-    chunks = []
+    dtype = np.uint16 if t.graph.edge_count * r <= 0xFFFF else np.int64
+    out = np.empty((total, 6), dtype=dtype)
+    at = 0
     for quad in k4_subgraphs(t.graph):
         eids = _k4_edge_ids(t.graph, quad)
-        masks = [t.masks[e] for e in eids]
-        offs = np.array([e * r for e in eids], dtype=np.int64)
-        if all(m == full for m in masks):
-            cnt = falling_factorial(r, 6)
-            if cnt == 0:
-                continue
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.permutations(range(r), 6)),
-                dtype=np.int64,
-                count=cnt * 6,
-            )
-            rows = flat.reshape(-1, 6) + offs[None, :]
-        else:
-            sels = list(_iter_selections(masks))
-            if not sels:
-                continue
-            rows = np.array(sels, dtype=np.int64) + offs[None, :]
-        chunks.append(np.sort(rows, axis=1).astype(dtype))
-    if not chunks:
-        return np.empty((0, 6), dtype=dtype)
-    return np.vstack(chunks)
+        sel = _selection_rows([t.masks[e] for e in eids])
+        block = out[at : at + len(sel)]
+        np.add(sel, np.array([e * r for e in eids], dtype=dtype), out=block)
+        block.sort(axis=1)
+        at += len(sel)
+    return out
 
 
 def _combo_key_counts(rows64: np.ndarray, combo, base: int):
@@ -297,14 +307,11 @@ def codegree(t: Template, pairs) -> int:
 
 
 def max_codegree(t: Template, j: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> int:
-    """Maximum j-co-degree: structural for complete templates on K_n,
-    otherwise computed from materialized hyperedges (capped)."""
+    """Maximum j-co-degree, by the same structural-or-rows choice as
+    build_rainbow_hypergraph (rows are capped)."""
     if not 2 <= j <= 6:
         raise ValueError("j must be in 2..6")
-    if is_complete_on_complete_host(t):
-        return structural_max_codegrees(t.graph.n, t.r)[j - 2]
-    rows = materialize_rows(t, cap)
-    return max_codegrees_from_rows(rows, t.graph.edge_count * t.r)[j - 2]
+    return build_rainbow_hypergraph(t, cap=cap)[0].max_codegrees[j - 2]
 
 
 def build_rainbow_hypergraph(

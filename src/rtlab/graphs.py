@@ -79,9 +79,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")
 
-    def degree_sequence(self) -> tuple:
-        return tuple(sorted(self.degree(v) for v in range(self.n)))
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -327,17 +324,6 @@ def enumerate_graphs(n: int):
             seen[pm] = 1
 
 
-def iso_fingerprint(g: Graph) -> tuple:
-    """Cheap isomorphism-invariant: degree sequence plus small clique counts."""
-    return (
-        g.n,
-        g.degree_sequence(),
-        count_cliques(g, 3),
-        count_cliques(g, 4),
-        count_cliques(g, 5),
-    )
-
-
 # ---------------------------------------------------------------------------
 # graph6 (the standard 6-bit ASCII encoding, upper triangle in column order)
 
@@ -422,8 +408,3 @@ def graph6_codes(lines):
         line = line.strip()
         if line and line != _G6_HEADER:
             yield line
-
-
-def iter_graph6(lines):
-    """Parse a newline-delimited graph6 stream, skipping blank lines."""
-    return map(parse_graph6, graph6_codes(lines))

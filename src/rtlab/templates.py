@@ -11,7 +11,6 @@ user-facing colors are always the integers 1..r.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 from .errors import UnsupportedSizeError
@@ -94,12 +93,6 @@ def is_subtemplate(a: Template, b: Template) -> bool:
     if a.graph != b.graph or a.r != b.r:
         raise ValueError("incompatible templates: host graph and r must match")
     return all(ma & ~mb == 0 for ma, mb in zip(a.masks, b.masks))
-
-
-def intersect_templates(a: Template, b: Template) -> Template:
-    if a.graph != b.graph or a.r != b.r:
-        raise ValueError("incompatible templates: host graph and r must match")
-    return Template(a.graph, a.r, tuple(x & y for x, y in zip(a.masks, b.masks)))
 
 
 def lift_template(t: Template, threshold: int = 6) -> Template:
@@ -187,44 +180,6 @@ def count_rainbow_copies(t: Template) -> int:
         eids = _k4_edge_ids(t.graph, quad)
         total += count_distinct_choices([t.masks[e] for e in eids])
     return total
-
-
-def _iter_selections(masks):
-    """Backtracking enumeration of distinct-color selections as 0-based
-    color tuples in edge order, visiting the smallest lists first so dead
-    branches die early."""
-    order = sorted(range(6), key=lambda i: (bin(masks[i]).count("1"), i))
-    chosen = [0] * 6
-
-    def rec(pos: int, used: int):
-        if pos == 6:
-            yield tuple(chosen)
-            return
-        i = order[pos]
-        m = masks[i] & ~used
-        while m:
-            bit = m & -m
-            m ^= bit
-            chosen[i] = bit.bit_length() - 1
-            yield from rec(pos + 1, used | bit)
-
-    yield from rec(0, 0)
-
-
-def rainbow_copies(t: Template):
-    """Yield every rainbow copy as a tuple of six (edge_id, color) pairs
-    sorted by edge id.  K4s are visited in lexicographic vertex order."""
-    full = (1 << t.r) - 1
-    for quad in k4_subgraphs(t.graph):
-        eids = _k4_edge_ids(t.graph, quad)
-        masks = [t.masks[e] for e in eids]
-        if all(m == full for m in masks):
-            # complete lists: selections are exactly the 6-permutations
-            for perm in itertools.permutations(range(1, t.r + 1), 6):
-                yield tuple(sorted(zip(eids, perm)))
-        else:
-            for sel in _iter_selections(masks):
-                yield tuple(sorted(zip(eids, (c + 1 for c in sel))))
 
 
 def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -> int:

@@ -422,6 +422,15 @@ def test_critical_sets_respect_alive_and_original_n(k6):
     assert cs2.triangles == ()
 
 
+def test_critical_sets_reject_nonpositive_original_n(k4):
+    # no rainbow copies, yet 0^6 >= n^5 holds for every n <= 0
+    t = Template(k4, 6, [0b11] * 6)
+    assert critical_sets(t).triangles == ()
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            critical_sets(t, original_n=n)
+
+
 def test_criticality_monotone_under_template_growth():
     rng = random.Random(0xCAFE)
     for _ in range(20):

@@ -14,7 +14,7 @@ from rtlab import cli
 from rtlab.cache import ResultCache, fingerprint
 from rtlab.counting import count_colorings
 from rtlab.graphs import complete_graph, enumerate_graphs, parse_graph6, write_graph6
-from rtlab.templates import complete_template, template_to_json
+from rtlab.templates import Template, complete_template, template_to_json
 
 K4_G6 = write_graph6(complete_graph(4))
 
@@ -116,6 +116,15 @@ def test_template_commands(tmp_path, capsys):
     assert recs[0]["steps"] == [] and recs[0]["stop_reason"] == "no operation applicable"
     recs, _ = run_json(["critical", "--template", str(path)], capsys)
     assert len(recs[0]["triangles"]) == 4
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_critical_nonpositive_original_n_is_usage_error(n, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(template_to_json(Template(complete_graph(4), 6, [0b11] * 6)))
+    code, out, err = run_cli(["critical", "--template", str(path), "--original-n", n], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "invalid-argument"
 
 
 def test_clean_with_delta(tmp_path, capsys):

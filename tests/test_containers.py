@@ -28,9 +28,9 @@ from rtlab.containers import (
 )
 from rtlab.errors import CapExceeded
 from rtlab.exactmath import falling_factorial
-from rtlab.graphs import complete_graph, turan_graph
-from rtlab.templates import Template, complete_template, rainbow_copies
-from test_templates import random_template
+from rtlab.graphs import Graph, complete_graph, turan_graph
+from rtlab.templates import Template, complete_template, count_rainbow_copies
+from test_templates import brute_rainbow_rows, random_template
 
 # ---------------------------------------------------------------------------
 # stats of small complete templates
@@ -181,10 +181,9 @@ def test_max_codegree_on_general_templates_matches_enumeration():
         rows = materialize_rows(t)
         base = t.graph.edge_count * t.r
         got = max_codegrees_from_rows(rows, base)
-        # independent pure-python recount over enumerated copies
+        # independent pure-python recount over the product-oracle copies
         subsets = [Counter() for _ in range(5)]
-        for pairs in rainbow_copies(t):
-            vids = sorted(e * t.r + (c - 1) for e, c in pairs)
+        for vids in brute_rainbow_rows(t):
             for j in range(2, 7):
                 for sub in itertools.combinations(vids, j):
                     subsets[j - 2][sub] += 1
@@ -212,6 +211,43 @@ def test_codegree_monotone_ladder(k6):
             d = structural_max_codegrees(n, r)
             assert all(a >= b for a, b in zip(d, d[1:]))
             assert d[4] == 1
+
+
+def _oracle_template(rng: random.Random) -> Template:
+    """Random host on 4-7 vertices (often complete), r in 1..64, lists of
+    1-4 colours, some empty lists, and full lists while r <= 6, so the
+    product oracle stays small."""
+    n = rng.randint(4, 7)
+    r = rng.choice((rng.randint(1, 5), rng.randint(6, 12), rng.randint(13, 64), 64))
+    g = complete_graph(n) if rng.random() < 0.5 else Graph.from_mask(n, rng.getrandbits(comb(n, 2)))
+    full = (1 << r) - 1
+    masks = []
+    for _ in range(g.edge_count):
+        roll = rng.random()
+        if roll < 0.05:
+            masks.append(0)
+        elif r <= 6 and roll < 0.35:
+            masks.append(full)
+        else:
+            masks.append(sum(1 << c for c in rng.sample(range(r), rng.randint(1, min(r, 4)))))
+    return Template(g, r, masks)
+
+
+def test_materialize_rows_match_product_oracle():
+    rng = random.Random(0x5E1EC7)
+    for _ in range(120):
+        t = _oracle_template(rng)
+        rows = materialize_rows(t)
+        assert rows.shape[1] == 6
+        assert sorted(map(tuple, rows.tolist())) == brute_rainbow_rows(t)
+    # colour 64 is bit 63 of the used-colour word
+    top = 1 << 63
+    masks = [top | 0b1, top | 0b10, 0b110, 0b1100, top | 0b11000, 0b110000]
+    t = Template(complete_graph(4), 64, masks)
+    want = brute_rainbow_rows(t)
+    assert any(v % 64 == 63 for row in want for v in row)
+    assert sorted(map(tuple, materialize_rows(t).tolist())) == want
+    assert len(want) == count_rainbow_copies(t)
 
 
 def test_materialization_cap():

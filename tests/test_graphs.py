@@ -18,8 +18,7 @@ from rtlab.graphs import (
     enumerate_graphs,
     extremal_number,
     internal_edge_count,
-    iso_fingerprint,
-    iter_graph6,
+    graph6_codes,
     parse_graph6,
     turan_graph,
     write_graph6,
@@ -193,8 +192,9 @@ def test_enumerate_pairwise_non_isomorphic(classes5):
 def test_enumerate_pairwise_non_isomorphic_n6_by_fingerprint(classes6):
     groups = defaultdict(list)
     for g in classes6:
-        groups[iso_fingerprint(g)].append(g)
-    # exact check only inside fingerprint collisions
+        degrees = tuple(sorted(g.degree(v) for v in range(g.n)))
+        groups[(degrees, *(count_cliques(g, k) for k in (3, 4, 5)))].append(g)
+    # exact check only inside collisions of this isomorphism invariant
     for group in groups.values():
         for a, b in itertools.combinations(group, 2):
             assert not brute_force_is_isomorphic(a, b)
@@ -267,7 +267,7 @@ def test_graph6_parse_errors_carry_offsets():
 
 def test_iter_graph6_stream(classes4):
     text = ">>graph6<<\n" + "\n".join(write_graph6(g) for g in classes4) + "\n\n"
-    parsed = list(iter_graph6(text.splitlines()))
+    parsed = [parse_graph6(code) for code in graph6_codes(text.splitlines())]
     assert parsed == classes4
 
 

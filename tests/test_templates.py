@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtlab.containers import materialize_rows
 from rtlab.errors import UnsupportedSizeError
 from rtlab.exactmath import SET_PARTITIONS, falling_factorial, stirling2_row
 from rtlab.graphs import Graph, complete_graph
@@ -17,12 +18,10 @@ from rtlab.templates import (
     count_rainbow_copies,
     count_rainbow_copies_through_triangle,
     from_coloring,
-    intersect_templates,
     is_subtemplate,
     lift_template,
     list_product,
     r_neighborhood,
-    rainbow_copies,
     template_from_json,
     template_to_dict,
     template_to_json,
@@ -43,6 +42,22 @@ def brute_rainbow_count(t: Template) -> int:
             ):
                 total += 1
     return total
+
+
+def brute_rainbow_rows(t: Template) -> list:
+    """Oracle: every rainbow copy as a sorted tuple of hypergraph-vertex ids
+    edge_id * r + (color - 1), by trying the full product of the six lists of
+    each K4.  Returned sorted, so it compares with rows in any order."""
+    g, r = t.graph, t.r
+    out = []
+    for quad in itertools.combinations(range(g.n), 4):
+        if not all(g.has_edge(u, v) for u, v in itertools.combinations(quad, 2)):
+            continue
+        eids = [g.edge_id(u, v) for u, v in itertools.combinations(quad, 2)]
+        for sel in itertools.product(*(t.list_of(e) for e in eids)):
+            if len(set(sel)) == 6:
+                out.append(tuple(sorted(e * r + c - 1 for e, c in zip(eids, sel))))
+    return sorted(out)
 
 
 def random_template(rng: random.Random, n: int, r: int) -> Template:
@@ -181,7 +196,8 @@ def test_enumeration_matches_count_and_is_valid():
     rng = random.Random(7)
     for _ in range(20):
         t = random_template(rng, 4, 6)
-        copies = list(rainbow_copies(t))
+        r = t.r
+        copies = [tuple((v // r, v % r + 1) for v in row) for row in materialize_rows(t).tolist()]
         assert len(copies) == count_rainbow_copies(t)
         assert len(set(copies)) == len(copies)
         for pairs in copies:
@@ -332,11 +348,3 @@ def test_template_json_validation(k4):
     d2["lists"][0] = [7]
     with pytest.raises(ValueError):
         template_from_json(json.dumps(d2))
-
-
-def test_intersect_templates(k4):
-    a = Template(k4, 6, [0b000111] * 6)
-    b = Template(k4, 6, [0b001110] * 6)
-    c = intersect_templates(a, b)
-    assert all(m == 0b000110 for m in c.masks)
-    assert is_subtemplate(c, a) and is_subtemplate(c, b)
