@@ -58,8 +58,7 @@ class CleaningConfig:
 
 def remove_singleton_edges(t: Template) -> Graph:
     """The spanning subgraph G_0: exactly the edges with |L(e)| >= 2."""
-    keep = [e for i, e in enumerate(t.graph.edges) if t.list_size(i) >= 2]
-    return Graph(t.graph.n, keep)
+    return state_graph(t, range(t.graph.n))
 
 
 def state_graph(t: Template, alive) -> Graph:
@@ -71,6 +70,14 @@ def state_graph(t: Template, alive) -> Graph:
         if u in alive and v in alive and t.list_size(i) >= 2
     ]
     return Graph(t.graph.n, keep)
+
+
+def _alive_list(t: Template, alive) -> list:
+    """Alive vertices in ascending order, all host vertices when None."""
+    alive = list(range(t.graph.n)) if alive is None else sorted(alive)
+    if len(set(alive)) != len(alive) or not set(alive) <= set(range(t.graph.n)):
+        raise ValueError(f"alive vertices must be distinct and lie in 0..{t.graph.n - 1}")
+    return alive
 
 
 def _op1_witness(t: Template, g: Graph, cfg: CleaningConfig, v: int, n_i: int):
@@ -98,7 +105,7 @@ def _op1_witness(t: Template, g: Graph, cfg: CleaningConfig, v: int, n_i: int):
 def operation1_step(t: Template, cfg: CleaningConfig, alive=None):
     """Least-index alive vertex whose incident list-size product is at most
     r^((2-xi^2)(n_i-1)/3), or None.  Returns (vertex, witness)."""
-    alive = sorted(alive) if alive is not None else list(range(t.graph.n))
+    alive = _alive_list(t, alive)
     n_i = len(alive)
     g = state_graph(t, alive)
     for v in alive:
@@ -112,7 +119,7 @@ def operation2_step(t: Template, cfg: CleaningConfig, alive=None):
     """First (lexicographic) non-critical triangle that has a large joint
     neighborhood, one full list, and a second list of size >= 3; or None.
     Returns (triangle, witness)."""
-    alive = sorted(alive) if alive is not None else list(range(t.graph.n))
+    alive = _alive_list(t, alive)
     n_i = len(alive)
     g = state_graph(t, alive)
     p2 = cfg.xi.numerator ** 2
@@ -296,7 +303,7 @@ def critical_sets(t: Template, alive=None, original_n: int = None) -> CriticalSe
     if original_n is not None and original_n < 1:
         raise ValueError("original_n must be >= 1")
     n = original_n if original_n is not None else t.graph.n
-    alive = sorted(alive) if alive is not None else list(range(t.graph.n))
+    alive = _alive_list(t, alive)
     n_p = len(alive)
     g = state_graph(t, alive)
     x3 = []

@@ -223,14 +223,14 @@ def _combo_key_counts(rows64: np.ndarray, combo, base: int):
 
 def _merge_key_counts(a, b):
     keys = np.concatenate((a[0], b[0]), axis=0)
-    counts = np.concatenate((a[1], b[1])).astype(np.float64)
     if keys.shape[1] == 1:
         u, inv = np.unique(keys[:, 0], return_inverse=True)
         u = u.reshape(-1, 1)
     else:
         u, inv = np.unique(keys, axis=0, return_inverse=True)
-    summed = np.bincount(inv.ravel(), weights=counts)
-    return u, summed.astype(np.int64)
+    summed = np.zeros(len(u), dtype=np.int64)
+    np.add.at(summed, inv.ravel(), np.concatenate((a[1], b[1])))
+    return u, summed
 
 
 def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:

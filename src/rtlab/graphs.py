@@ -56,14 +56,6 @@ class Graph:
         return cls(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
     @property
-    def mask(self) -> int:
-        idx = {e: i for i, e in enumerate(all_pairs(self.n))}
-        m = 0
-        for e in self.edges:
-            m |= 1 << idx[e]
-        return m
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -72,9 +64,6 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         return self._eindex[(u, v) if u < v else (v, u)]
-
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")

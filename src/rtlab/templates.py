@@ -3,7 +3,9 @@
 A template assigns each edge a subset of the colors 1..r; an edge coloring
 is the all-singleton special case.  A rainbow copy of K4 is a choice of
 six (edge, color) pairs whose edges form a K4 and whose colors are
-pairwise distinct, each drawn from its edge's list.
+pairwise distinct, each drawn from its edge's list.  Each K4's copies are
+counted once per template and kept on it, so whole-host counts, the
+per-triangle counts of cleaning and row materialization reuse them.
 
 Lists are stored as bitmasks (bit c-1 set means color c is allowed);
 user-facing colors are always the integers 1..r.
@@ -11,6 +13,7 @@ user-facing colors are always the integers 1..r.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .errors import UnsupportedSizeError
@@ -23,7 +26,7 @@ MAX_COLORS = 64
 class Template:
     """Per-edge color lists over a fixed host graph.  Immutable."""
 
-    __slots__ = ("graph", "r", "masks")
+    __slots__ = ("graph", "r", "masks", "_k4_copies")
 
     def __init__(self, graph: Graph, r: int, masks):
         if not 1 <= r <= MAX_COLORS:
@@ -40,6 +43,7 @@ class Template:
         self.graph = graph
         self.r = r
         self.masks = masks
+        self._k4_copies = {}  # sorted K4 vertex tuple -> rainbow copies on it
 
     def list_of(self, edge_id: int) -> tuple:
         """Colors of one edge list, ascending, 1-based."""
@@ -162,24 +166,24 @@ def count_distinct_choices(masks, forbidden: int = 0) -> int:
 
 
 def _k4_edge_ids(g: Graph, quad) -> tuple:
-    a, b, c, d = quad
-    return (
-        g.edge_id(a, b),
-        g.edge_id(a, c),
-        g.edge_id(a, d),
-        g.edge_id(b, c),
-        g.edge_id(b, d),
-        g.edge_id(c, d),
-    )
+    """Edge ids of a K4 in the order ab, ac, ad, bc, bd, cd."""
+    return tuple(g.edge_id(u, v) for u, v in itertools.combinations(quad, 2))
+
+
+def k4_rainbow_copies(t: Template, quad) -> int:
+    """Rainbow copies on one host K4, counted the first time the K4 is asked
+    for and kept on the template, keyed by its sorted vertex tuple."""
+    quad = tuple(sorted(quad))
+    got = t._k4_copies.get(quad)
+    if got is None:
+        masks = [t.masks[e] for e in _k4_edge_ids(t.graph, quad)]
+        got = t._k4_copies[quad] = count_distinct_choices(masks)
+    return got
 
 
 def count_rainbow_copies(t: Template) -> int:
     """Exact number of rainbow K4 copies in the template."""
-    total = 0
-    for quad in k4_subgraphs(t.graph):
-        eids = _k4_edge_ids(t.graph, quad)
-        total += count_distinct_choices([t.masks[e] for e in eids])
-    return total
+    return sum(k4_rainbow_copies(t, quad) for quad in k4_subgraphs(t.graph))
 
 
 def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -> int:
@@ -199,11 +203,8 @@ def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -
     ext = sub.adj[a] & sub.adj[b] & sub.adj[c]
     while ext:
         bit = ext & -ext
-        w = bit.bit_length() - 1
         ext ^= bit
-        quad = tuple(sorted((a, b, c, w)))
-        eids = _k4_edge_ids(g, quad)
-        total += count_distinct_choices([t.masks[e] for e in eids])
+        total += k4_rainbow_copies(t, (a, b, c, bit.bit_length() - 1))
     return total
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from rtlab import templates
 from rtlab.graphs import Graph, complete_graph, enumerate_graphs
 
 
@@ -33,6 +34,21 @@ def classes5():
 @pytest.fixture(scope="session")
 def classes6():
     return list(enumerate_graphs(6))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """List that grows by one on every call of the per-K4 kernel
+    `count_distinct_choices` made from rtlab.templates."""
+    calls = []
+    kernel = templates.count_distinct_choices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(templates, "count_distinct_choices", counted)
+    return calls
 
 
 def brute_force_is_isomorphic(a: Graph, b: Graph) -> bool:

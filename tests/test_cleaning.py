@@ -27,10 +27,12 @@ from rtlab.graphs import (
     complete_graph,
     count_cliques,
     enumerate_graphs,
+    triangles,
 )
 from rtlab.templates import (
     Template,
     complete_template,
+    count_rainbow_copies,
     count_rainbow_copies_through_triangle,
     from_coloring,
     lift_template,
@@ -431,6 +433,21 @@ def test_critical_sets_reject_nonpositive_original_n(k4):
             critical_sets(t, original_n=n)
 
 
+def test_alive_must_be_distinct_and_in_range(k6):
+    # repeated vertices used to inflate n_i, out-of-range ones to count too
+    t = complete_template(k6, 6)
+    cfg = cfg_for(t)
+    assert operation1_step(t, cfg) == (None, None)
+    for alive in ([0, 0, 0, 0, 1, 2], [0, 1, 99], [-1, 0, 1]):
+        for step in (operation1_step, operation2_step):
+            with pytest.raises(ValueError):
+                step(t, cfg, alive)
+    for alive in ([0, 1, 2, 3, 3, 3], [0, 1, 2, 6]):
+        with pytest.raises(ValueError):
+            critical_sets(t, alive=alive)
+    assert critical_sets(t, alive=[]).current_n == 0
+
+
 def test_criticality_monotone_under_template_growth():
     rng = random.Random(0xCAFE)
     for _ in range(20):
@@ -501,3 +518,72 @@ def test_histogram_examples(k4):
         h3 = list_size_histogram(t)
         assert h3.total == t.graph.edge_count
         assert h3.small == sum(h3.counts[2:6])
+
+
+# ---------------------------------------------------------------------------
+# per-K4 rainbow counts are kept on the template and reused
+
+
+def test_critical_sets_count_each_k4_once(kernel_calls):
+    t = complete_template(complete_graph(8), 12)
+    cs = critical_sets(t)
+    assert len(cs.triangles) == math.comb(8, 3)
+    assert len(kernel_calls) == math.comb(8, 4)
+    critical_sets(t, alive=range(6))
+    assert len(kernel_calls) == math.comb(8, 4)
+
+
+def test_verify_trace_replays_from_the_memo(kernel_calls):
+    t = _op2_fixture()
+    cfg = cfg_for(t, priority=(2, 1))
+    trace = clean(t, cfg)
+    assert trace.steps[0].op == 2 and kernel_calls
+    kernel_calls.clear()
+    assert verify_trace(t, cfg, trace)
+    assert kernel_calls == []
+
+
+def _mixed_template(rng, n, r):
+    """Dense random host; lists are full, short subsets of the colours 1..4
+    (which starve rainbow copies, so op 2 can fire), or random."""
+    pairs = math.comb(n, 2)
+    g = Graph.from_mask(n, sum(1 << i for i in range(pairs) if rng.random() < 0.85))
+    full = (1 << r) - 1
+    masks = []
+    for _ in range(g.edge_count):
+        x = rng.random()
+        if x < 0.5:
+            masks.append(full)
+        elif x < 0.9:
+            masks.append(sum(1 << c for c in rng.sample(range(4), rng.randint(2, 3))))
+        else:
+            masks.append(rng.getrandbits(r))
+    return Template(g, r, masks)
+
+
+def test_reused_template_answers_like_a_fresh_one():
+    # one Template goes through every counting path; each answer must equal
+    # the one from a freshly built Template with the same masks
+    rng = random.Random(0x4B4)
+    for _ in range(8):
+        n = rng.randint(4, 9)
+        t = _mixed_template(rng, n, rng.choice((6, 9, 12, 33, 64)))
+
+        def fresh():
+            return Template(t.graph, t.r, t.masks)
+
+        for tri in triangles(t.graph):
+            assert count_rainbow_copies_through_triangle(
+                t, tri[::-1]
+            ) == count_rainbow_copies_through_triangle(fresh(), tri)
+        assert count_rainbow_copies(t) == count_rainbow_copies(fresh())
+        cfg = cfg_for(t, priority=(2, 1))
+        trace = clean(t, cfg)
+        assert verify_trace(t, cfg, trace) and verify_trace(fresh(), cfg, trace)
+        for alive in [range(n)] + [s.survivors for s in trace.steps]:
+            assert critical_sets(t, alive=alive) == critical_sets(fresh(), alive=alive)
+            g = state_graph(t, alive)
+            for tri in triangles(g):
+                assert count_rainbow_copies_through_triangle(
+                    t, tri, sub=g
+                ) == count_rainbow_copies_through_triangle(fresh(), tri, sub=g)

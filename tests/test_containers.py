@@ -63,6 +63,13 @@ def test_degree_identity_on_materialized(k5):
             assert counts.sum() == 6 * stats.edge_count
 
 
+def test_materialized_stats_count_each_k4_once(k5, kernel_calls):
+    t = complete_template(k5, 9)
+    stats, rows = build_rainbow_hypergraph(t, materialize=True)
+    assert stats.edge_count == len(rows) == 5 * falling_factorial(9, 6)
+    assert len(kernel_calls) == 5
+
+
 def test_stated_bounds_hold_with_equality_for_complete_templates():
     for n in range(4, 8):
         for r in (6, 7, 12):
