@@ -2,11 +2,14 @@
 deletion operations with exact guards, replayable traces, critical
 triangles/edges/vertices, and the supersaturation bound.
 
-All guard decisions are float-free.  Thresholds with fractional exponents
-(r^((2-xi^2)(n_i-1)/3), n^(5/6), n_p^(11/12), n_p^(23/12)) are decided by
-cross-powering to integer exponents; xi is an exact rational.  Euler's
-number only enters through a pinned certified enclosure and guards take
-its conservative side.
+All guard decisions are float-free; xi is an exact rational.  The
+operation-1 threshold r^((2-xi^2)(n_i-1)/3) is decided exactly by
+`exactmath.cmp_value_rpow`: bit lengths, exact ties by unique
+factorization, certified logarithms in integer fixed point, and integer
+cross-powering as the last resort.  The critical-set thresholds n^(5/6),
+n_p^(11/12), n_p^(23/12) are decided by cross-powering to integer
+exponents.  Euler's number only enters through a pinned certified
+enclosure and guards take its conservative side.
 
 State model: cleaning never relabels vertices.  The current graph G_i is
 the host restricted to the surviving ("alive") vertex set, keeping only
@@ -231,36 +234,11 @@ def clean(t: Template, cfg: CleaningConfig) -> CleaningTrace:
 
 
 def verify_trace(t: Template, cfg: CleaningConfig, trace: CleaningTrace) -> bool:
-    """Re-derive every step from the original template and compare the
-    recorded operation, removals, counts, and witnesses bit-exactly."""
-    if (trace.r, trace.xi, trace.original_n, tuple(trace.priority)) != (
-        cfg.r,
-        cfg.xi,
-        cfg.original_n,
-        cfg.priority,
-    ):
-        return False
-    alive = list(range(t.graph.n))
-    for step in trace.steps:
-        op, payload, _ = _next_action(t, cfg, alive)
-        if op == "stop" or op != step.op:
-            return False
-        removed, wit = payload
-        if (
-            tuple(removed) != tuple(step.removed)
-            or wit != step.witness
-            or step.n_before != len(alive)
-            or step.n_after != len(alive) - len(removed)
-        ):
-            return False
-        dead = set(removed)
-        alive = [x for x in alive if x not in dead]
-        if tuple(alive) != tuple(step.survivors):
-            return False
-    op, _, reason = _next_action(t, cfg, alive)
-    return op == "stop" and reason == trace.stop_reason and tuple(alive) == tuple(
-        trace.final_vertices
-    )
+    """Re-run the cleaning from the original template and compare the
+    result with the recorded trace bit-exactly: configuration, operations,
+    removals, counts, witnesses, survivors and stop reason.  A cfg that
+    does not match the template raises ValueError, as in `clean`."""
+    return trace_to_dict(clean(t, cfg)) == trace_to_dict(trace)
 
 
 def trace_to_dict(trace: CleaningTrace) -> dict:

@@ -441,6 +441,8 @@ def _cmd_clean(args, cache):
 def _cmd_critical(args, cache):
     t = _load_template(args.template)
     original_n = t.graph.n if args.original_n is None else args.original_n
+    if original_n < 1:
+        raise ValueError("original_n must be >= 1")
     item = (t, original_n)
     params = {"template": template_to_json(t), "original_n": original_n}
     return _run_batch("critical", [item], [params], _payload_critical, cache, args.workers)

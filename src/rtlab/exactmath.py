@@ -3,13 +3,15 @@
 Everything here is float-free: comparisons against irrational quantities
 (square roots, cube roots, Euler's number) are decided either by integer
 cross-powering or by certified rational intervals that are refined until
-the comparison separates.
+the comparison separates.  Natural logarithms are certified integer
+bounds on a 2^-prec grid from an atanh series summed in fixed point;
+`cmp_value_rpow` compares them as integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 # Certified enclosure of Euler's number, pinned once; powers of it are
 # derived by interval powering so guards can always take the safe side.
@@ -141,43 +143,44 @@ def iv_le(a: tuple, b: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Certified natural logarithm via ln(x) = 2 atanh((x-1)/(x+1)) with an
-# explicit tail bound; arguments are range-reduced to [1, 2) by powers of
-# two, and the reduced argument is rounded onto a dyadic grid (directed)
-# so series denominators stay small at high precision.
+# Certified natural logarithm in integer fixed point: ln(x) = k ln 2 +
+# 2 atanh((y-1)/(y+1)) with y = x / 2^k in [1, 2) and ln 2 = 2 atanh(1/3).
+# Every series term is rounded down for the lower sum and up for the upper
+# sum, and the upper sum carries an explicit geometric tail bound.
 
-_LN2_CACHE = {}
-
-
-def _atanh_interval(z: Fraction, terms: int) -> tuple:
-    """Enclosure of atanh(z) for 0 <= z <= 1/2 via the odd power series."""
-    if not 0 <= z <= Fraction(1, 2):
-        raise ValueError("series only certified for 0 <= z <= 1/2")
-    total = Fraction(0)
-    zp = z
-    z2 = z * z
-    for i in range(terms):
-        total += zp / (2 * i + 1)
-        zp *= z2
-    # remaining terms are bounded by a geometric series
-    tail = zp / ((2 * terms + 1) * (1 - z2)) if z else Fraction(0)
-    return total, total + tail
+_GUARD_BITS = 16
 
 
-def _ln2_interval(terms: int) -> tuple:
-    if terms not in _LN2_CACHE:
-        lo, hi = _atanh_interval(Fraction(1, 3), terms)
-        _LN2_CACHE[terms] = (2 * lo, 2 * hi)
-    return _LN2_CACHE[terms]
+def _atanh_fixed(a: int, b: int, prec: int) -> tuple:
+    """Integers lo <= 2^prec atanh(a/b) <= hi for 0 <= a/b <= 1/3."""
+    if not 0 <= 3 * a <= b:
+        raise ValueError("series only certified for 0 <= a/b <= 1/3")
+    one = 1 << prec
+    z2_lo = a * a * one // (b * b)
+    z2_hi = -(-a * a * one // (b * b))
+    p_lo = a * one // b  # 2^prec z^d, rounded down and up
+    p_hi = -(-a * one // b)
+    lo = hi = 0
+    d = 1
+    while p_hi > 1:
+        lo += p_lo // d
+        hi -= -p_hi // d
+        p_lo = p_lo * z2_lo >> prec
+        p_hi = -(-p_hi * z2_hi >> prec)
+        d += 2
+    # the terms from z^d on sum to at most z^d / (d (1 - z^2)) <= 9 z^d / (8 d)
+    return lo, hi - (-9 * p_hi // (8 * d))
 
 
-def _round_fraction(x: Fraction, bits: int, up: bool) -> Fraction:
-    """Directed rounding onto a 2^-bits grid to keep denominators small."""
-    scaled = x * (1 << bits)
-    n = scaled.numerator // scaled.denominator
-    if up and n * scaled.denominator != scaled.numerator:
-        n += 1
-    return Fraction(n, 1 << bits)
+def _ln_fixed(num: int, den: int, prec: int) -> tuple:
+    """Integers lo <= 2^prec ln(num/den) <= hi for num >= den >= 1."""
+    k = (num // den).bit_length() - 1
+    d = den << k
+    lo, hi = _atanh_fixed(num - d, num + d, prec)
+    # ln 2 carries k.bit_length() extra bits so k ln 2 is as tight as the rest
+    s = k.bit_length()
+    l2_lo, l2_hi = _atanh_fixed(1, 3, prec + s)
+    return 2 * lo + (2 * k * l2_lo >> s), 2 * hi - (-2 * k * l2_hi >> s)
 
 
 def ln_interval(x: Fraction, bits: int = 192) -> tuple:
@@ -188,16 +191,9 @@ def ln_interval(x: Fraction, bits: int = 192) -> tuple:
     if x < 1:
         lo, hi = ln_interval(1 / x, bits)
         return -hi, -lo
-    terms = bits // 3 + 4  # series gains ~3 bits per term at z <= 1/3
-    k = (x.numerator // x.denominator).bit_length() - 1
-    y = x / (1 << k)  # y in [1, 2)
-    z = (y - 1) / (y + 1)  # z in [0, 1/3]
-    z_lo = _round_fraction(z, bits, up=False)
-    z_hi = _round_fraction(z, bits, up=True)
-    a_lo = _atanh_interval(z_lo, terms)[0]
-    a_hi = _atanh_interval(z_hi, terms)[1]
-    l2_lo, l2_hi = _ln2_interval(terms)
-    return k * l2_lo + 2 * a_lo, k * l2_hi + 2 * a_hi
+    prec = bits + _GUARD_BITS
+    lo, hi = _ln_fixed(x.numerator, x.denominator, prec)
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +222,6 @@ def cmp_value_rpow(value: int, base: int, exp_num: int, exp_den: int) -> int:
     exp_num >= 0, exp_den >= 1.  Exact: never returns a wrong sign."""
     if value < 1 or base < 2 or exp_num < 0 or exp_den < 1:
         raise ValueError("cmp_value_rpow domain error")
-    from math import gcd
-
     g = gcd(exp_num, exp_den)
     exp_num //= g
     exp_den //= g
@@ -250,13 +244,11 @@ def cmp_value_rpow(value: int, base: int, exp_num: int, exp_den: int) -> int:
         ):
             return 0  # value^den == base^num exactly
     for bits in (160, 320, 640, 1280, 2560):
-        lv = ln_interval(Fraction(value), bits)
-        lb = ln_interval(Fraction(base), bits)
-        left = (exp_den * lv[0], exp_den * lv[1])
-        right = (exp_num * lb[0], exp_num * lb[1])
-        if left[1] < right[0]:
+        lv = _ln_fixed(value, 1, bits + _GUARD_BITS)
+        lb = _ln_fixed(base, 1, bits + _GUARD_BITS)
+        if exp_den * lv[1] < exp_num * lb[0]:
             return -1
-        if left[0] > right[1]:
+        if exp_den * lv[0] > exp_num * lb[1]:
             return 1
     if vb * exp_den <= _POWERING_BIT_LIMIT and bb * exp_num <= _POWERING_BIT_LIMIT:
         lhs = value ** exp_den

@@ -192,7 +192,7 @@ def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -
     g = t.graph
     if sub is None:
         sub = g
-    if sub.n != g.n or not set(sub.edges) <= set(g.edges):
+    if sub.n != g.n or any(s & ~h for s, h in zip(sub.adj, g.adj)):
         raise ValueError("sub must be a subgraph of the template host")
     a, b, c = tri
     if len({a, b, c}) != 3 or not (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -308,6 +309,20 @@ def test_verify_trace_rejects_tampering(k6):
         tuple(bad_steps), trace.final_vertices, trace.stop_reason,
     )
     assert not verify_trace(t, cfg, tampered)
+
+    def with_first_step(**changes):
+        steps = (dataclasses.replace(trace.steps[0], **changes),) + trace.steps[1:]
+        return dataclasses.replace(trace, steps=steps)
+
+    witness = dict(s.witness, list_product="2")
+    assert not verify_trace(t, cfg, with_first_step(witness=witness))
+    assert not verify_trace(t, cfg, with_first_step(survivors=s.survivors[1:]))
+    assert not verify_trace(t, cfg, dataclasses.replace(trace, stop_reason="no operation applicable"))
+    assert not verify_trace(t, cfg, dataclasses.replace(trace, priority=(2, 1)))
+    assert verify_trace(t, cfg, dataclasses.replace(trace))
+    # a config that does not fit the template is refused, as by clean
+    with pytest.raises(ValueError):
+        verify_trace(t, CleaningConfig(r=11, xi=XI, original_n=6), trace)
 
 
 def test_clean_validates_config(k4):

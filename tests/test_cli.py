@@ -127,6 +127,23 @@ def test_critical_nonpositive_original_n_is_usage_error(n, tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "invalid-argument"
 
 
+def test_critical_nonpositive_original_n_skips_the_cache(isolated_cache, tmp_path, capsys):
+    # a record stored under this fingerprint (as an older build did) must
+    # not be served: the argument is refused before the cache is read
+    t = Template(complete_graph(4), 6, [0b11] * 6)
+    path = tmp_path / "t.json"
+    path.write_text(template_to_json(t))
+    fp = fingerprint(
+        "critical", {"template": template_to_json(t), "original_n": -5}, cli.__version__
+    )
+    stale = {"op": "critical", "triangles": [], "edges": [], "vertices": [],
+             "current_n": 4, "original_n": -5}
+    ResultCache(str(isolated_cache)).store(fp, "critical", stale, cli.__version__)
+    code, out, err = run_cli(["critical", "--template", str(path), "--original-n", "-5"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "invalid-argument"
+
+
 def test_clean_with_delta(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(template_to_json(complete_template(complete_graph(4), 12)))

@@ -283,6 +283,10 @@ def test_through_triangle_errors(k4, k5):
         count_rainbow_copies_through_triangle(t2, (0, 1, 2))
     with pytest.raises(ValueError):
         count_rainbow_copies_through_triangle(t, (0, 1, 2), sub=complete_graph(5))
+    # same vertex count, but sub has the edge (0, 3) the host lacks
+    t3 = complete_template(Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), 6)
+    with pytest.raises(ValueError):
+        count_rainbow_copies_through_triangle(t3, (0, 1, 2), sub=complete_graph(4))
 
 
 # ---------------------------------------------------------------------------
