@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -315,29 +314,34 @@ def _cache_from_args(args) -> ResultCache:
 def _run_batch(op: str, items, fp_params, build, cache, workers: int):
     """Map payload builders over inputs with bounded parallelism; output
     order is input order regardless of completion order.  Fingerprints use
-    only result-determining parameters, never worker counts or caps."""
+    only result-determining parameters, never worker counts or caps, and
+    items that share a fingerprint are looked up, computed and stored once."""
     fps = [fingerprint(op, params, __version__) for params in fp_params]
-    records = [None] * len(items)
-    todo = []
-    for i, fp in enumerate(fps):
+    payloads = {}
+    todo = {}  # fingerprint -> its first item, for the misses
+    for fp, item in zip(fps, items):
+        if fp in payloads or fp in todo:
+            continue
         hit = cache.lookup(fp) if cache else None
         if hit is not None:
-            records[i] = hit
+            payloads[fp] = hit
             print(f"# cache hit {fp}", file=sys.stderr)
         else:
-            todo.append(i)
+            todo[fp] = item
     if todo:
-        tasks = [items[i] for i in todo]
+        tasks = list(todo.values())
         if workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(build, tasks))
         else:
             results = [build(t) for t in tasks]
-        for i, payload in zip(todo, results):
-            records[i] = payload
+        for fp, payload in zip(todo, results):
+            payloads[fp] = payload
             if cache:
-                cache.store(fps[i], op, payload, __version__)
-    return records
+                cache.store(fp, op, payload, __version__)
+    return [payloads[fp] for fp in fps]
 
 
 # ---------------------------------------------------------------------------

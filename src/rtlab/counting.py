@@ -35,7 +35,6 @@ against the sum of the blocks' partition bounds; free edges cost nothing.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -198,6 +197,8 @@ def _block_weights(edges, eid_sets, max_classes: int, workers: int) -> list:
         return _weights_from_prefix(*args, ())
     prefixes = _weights_from_prefix(*args, (), SPLIT_DEPTH)
     totals = [0] * (m + 1)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for w in pool.map(_prefix_task, [args + (p,) for p in prefixes]):
             for j, x in enumerate(w):
@@ -419,6 +420,8 @@ def rho_max_search(
             )
     codes = [write_graph6(g) for g in graphs]
     if workers > 1 and len(graphs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_search_task, [(c, r, k) for c in codes]))
     else:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from rtlab import cache as cache_module
 from rtlab import cli
 from rtlab.cache import ResultCache, fingerprint
 from rtlab.counting import count_colorings
@@ -275,6 +276,44 @@ def test_cache_corrupt_line_skipped(isolated_cache, capsys):
     assert "corrupt" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_duplicates_computed_and_stored_once(workers, isolated_cache, tmp_path, capsys,
+                                                   monkeypatch):
+    codes = ["C~", "Bw", "C~", "C~", "Bw"]
+    stream = tmp_path / "dups.g6"
+    stream.write_text("\n".join(codes) + "\n")
+    single = {c: run_cli(["count", "--graph", c, "-r", "6", "--no-cache"], capsys)[1]
+              for c in set(codes)}
+    built = []
+    if workers == "1":  # a wrapped builder cannot be sent to worker processes
+        build = cli._payload_count
+        monkeypatch.setattr(cli, "_payload_count",
+                            lambda item: built.append(item[0]) or build(item))
+    code, out, _ = run_cli(["count", "--input", str(stream), "-r", "6", "--workers", workers],
+                           capsys)
+    assert code == 0
+    assert out == "".join(single[c] for c in codes)
+    stored = [json.loads(line)["payload"]["graph"]
+              for line in isolated_cache.read_text().splitlines()]
+    assert stored == ["C~", "Bw"]
+    assert built == ([] if workers == "2" else ["C~", "Bw"])
+
+
+def test_batch_reads_the_cache_file_once(tmp_path, capsys, monkeypatch):
+    codes = [write_graph6(g) for g in enumerate_graphs(4)]
+    stream = tmp_path / "classes.g6"
+    stream.write_text("\n".join(codes) + "\n")
+    argv = ["count", "--input", str(stream), "-r", "5"]
+    run_json(argv, capsys)  # every class stored
+    opened = []
+    monkeypatch.setattr(cache_module, "open",
+                        lambda path, mode="r", **kw: opened.append(mode) or open(path, mode, **kw),
+                        raising=False)
+    recs, err = run_json(argv, capsys)
+    assert len(recs) == len(codes) == err.count("# cache hit")
+    assert opened == ["rb"]
+
+
 def _stress_writer(args):
     path, worker = args
     cache = ResultCache(path)
@@ -432,3 +471,22 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "45936"
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the process pool is imported only where --workers > 1 starts one
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, rtlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

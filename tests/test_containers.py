@@ -375,10 +375,25 @@ def test_min_n_requires_six_colors():
 
 
 def test_conclusion_exponent_reported_at_large_n():
-    n_min = min_n_for_container(12)
-    rep = container_hypothesis_check(n_min, 12)
-    expo = rep.details["conclusion_exponent"]
-    assert expo[0] > 0 and expo[0] <= expo[1]
+    # the enclosure contains c * N * tau * ln(1/eps) * ln(1/tau), with
+    # N = r * C(n, 2) hypergraph vertices, evaluated at high precision
+    mpmath = pytest.importorskip("mpmath")
+    r = 12
+    n_min = min_n_for_container(r)
+    for n in (n_min, n_min * 10 ** 30):
+        lo, hi = container_hypothesis_check(n, r).details["conclusion_exponent"]
+        assert 0 < lo <= hi
+        assert (hi - lo) / lo < Fraction(1, 10 ** 30)
+        cc = container_constants(n, r)
+        with mpmath.workprec(512):
+            tau = mpmath.root(mpmath.mpf(cc.tau_sixth.numerator) / cc.tau_sixth.denominator, 6)
+            eps = mpmath.cbrt(
+                mpmath.mpf(cc.epsilon_cubed.numerator) / cc.epsilon_cubed.denominator
+            )
+            v = C_ELL_BOUND * r * comb(n, 2) * tau * mpmath.log(1 / eps) * mpmath.log(1 / tau)
+            slack = v * mpmath.mpf(2) ** -400  # mpmath's own rounding
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= v + slack, n
+            assert v - slack <= mpmath.mpf(hi.numerator) / hi.denominator, n
 
 
 def test_tau_sixth_matches_interval(k4):
