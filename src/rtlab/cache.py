@@ -1,8 +1,8 @@
 """Append-only JSONL result cache keyed by input fingerprints.
 
 Each line stores one record: fingerprint, operation name, payload,
-artifact version, timestamp.  Lines are written with a single write call
-so concurrent writers never interleave.
+artifact version, timestamp.  A batch of lines is written with a single
+write call so concurrent writers never interleave.
 
 A process reads the file once and indexes its lines by fingerprint,
 parsing only lines in a layout other than the one `store` writes; those
@@ -87,18 +87,22 @@ class ResultCache:
         return None
 
     def store(self, fp: str, op: str, payload: dict, version: str):
-        rec = {
-            "fingerprint": fp,
-            "op": op,
-            "payload": payload,
-            "version": version,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        self.store_many(op, [(fp, payload)], version)
+
+    def store_many(self, op: str, entries, version: str):
+        """Append one record per (fingerprint, payload) pair, in order, with
+        one open and one write call."""
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        recs = [
+            {"fingerprint": fp, "op": op, "payload": payload, "version": version, "timestamp": stamp}
+            for fp, payload in entries
+        ]
+        lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() for rec in recs]
         d = os.path.dirname(self.path)
         if d:
             os.makedirs(d, exist_ok=True)
         with open(self.path, "ab") as fh:
-            fh.write(line + b"\n")
+            fh.write(b"".join(line + b"\n" for line in lines))
         if self._index is not None:
-            self._index.setdefault(fp, []).append(line)
+            for rec, line in zip(recs, lines):
+                self._index.setdefault(rec["fingerprint"], []).append(line)

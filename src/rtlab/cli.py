@@ -315,7 +315,8 @@ def _run_batch(op: str, items, fp_params, build, cache, workers: int):
     """Map payload builders over inputs with bounded parallelism; output
     order is input order regardless of completion order.  Fingerprints use
     only result-determining parameters, never worker counts or caps, and
-    items that share a fingerprint are looked up, computed and stored once."""
+    items that share a fingerprint are looked up, computed and stored once;
+    the new records of a batch are appended together."""
     fps = [fingerprint(op, params, __version__) for params in fp_params]
     payloads = {}
     todo = {}  # fingerprint -> its first item, for the misses
@@ -337,10 +338,9 @@ def _run_batch(op: str, items, fp_params, build, cache, workers: int):
                 results = list(pool.map(build, tasks))
         else:
             results = [build(t) for t in tasks]
-        for fp, payload in zip(todo, results):
-            payloads[fp] = payload
-            if cache:
-                cache.store(fp, op, payload, __version__)
+        payloads.update(zip(todo, results))
+        if cache:
+            cache.store_many(op, list(zip(todo, results)), __version__)
     return [payloads[fp] for fp in fps]
 
 

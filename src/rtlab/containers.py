@@ -50,7 +50,12 @@ from .templates import (
 
 ELL = 6
 # weights of the co-degree functional at uniformity 6: leading 2^14 with
-# inner factors 1, 1/2, 1/4, 1/8, 1/16 on Delta_2..Delta_6
+# inner factors 1, 1/2, 1/4, 1/8, 1/16 on Delta_2..Delta_6, i.e. 2^-(j-2)
+# on Delta_j.  Saxton-Thomason (Hypergraph containers, Invent. Math. 2015)
+# weight Delta_j by 2^-C(j-1,2) instead: 1, 1/2, 1/8, 1/64, 1/1024.  Which
+# form the source paper uses is not recorded here.  min_n_for_container is
+# the same under both for r in {6, 12, 64}, because the tau condition binds
+# there (tests/test_containers.py).
 DELTA_LEAD = 2 ** 14
 DELTA_WEIGHTS = (
     Fraction(1),
@@ -196,58 +201,94 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
     return out
 
 
-def _combo_key_counts(rows64: np.ndarray, combo, base: int):
-    """(keys, counts) for the sub-rows at the given sorted column positions.
-    Keys are positional base-`base` encodings, split over two int64 digits
-    when one would overflow, so they compare consistently across combos."""
-    j = len(combo)
-    if base ** j < 2 ** 62:
-        keys = rows64[:, combo[0]].copy()
-        for c in combo[1:]:
-            keys *= base
-            keys += rows64[:, c]
-        u, cnt = np.unique(keys, return_counts=True)
-        return u.reshape(-1, 1), cnt.astype(np.int64)
-    half = (j + 1) // 2  # <= 3 digits per word: base^3 < 2^62 for base <= 64*2016
-    hi = rows64[:, combo[0]].copy()
-    for c in combo[1:half]:
-        hi *= base
-        hi += rows64[:, c]
-    lo = rows64[:, combo[half]].copy()
-    for c in combo[half + 1 :]:
-        lo *= base
-        lo += rows64[:, c]
-    u, cnt = np.unique(np.stack([hi, lo], axis=1), axis=0, return_counts=True)
-    return u, cnt.astype(np.int64)
+def _subrow_keys(cols, combo, base: int, buf: np.ndarray) -> list:
+    """Positional base-`base` keys of the sub-rows at the sorted column
+    positions `combo`, as int64 word arrays, most significant first: one
+    word while base**len(combo) fits, else as many digits per word as fit.
+    The first word is written over `buf`."""
+    per = 1
+    while per < len(combo) and base ** (per + 1) <= 2 ** 63:
+        per += 1
+    words = []
+    for at in range(0, len(combo), per):
+        w = np.empty_like(buf) if words else buf
+        np.copyto(w, cols[combo[at]])
+        for c in combo[at + 1 : at + per]:
+            w *= base
+            w += cols[c]
+        words.append(w)
+    return words
 
 
-def _merge_key_counts(a, b):
-    keys = np.concatenate((a[0], b[0]), axis=0)
-    if keys.shape[1] == 1:
-        u, inv = np.unique(keys[:, 0], return_inverse=True)
-        u = u.reshape(-1, 1)
+def _key_counts(words, weights=None):
+    """(distinct keys as word arrays, summed weight of each key); without
+    weights the sums are the keys' multiplicities, and a one-word key array
+    is sorted in place."""
+    if len(words) == 1 and weights is None:
+        words[0].sort()
     else:
-        u, inv = np.unique(keys, axis=0, return_inverse=True)
-    summed = np.zeros(len(u), dtype=np.int64)
-    np.add.at(summed, inv.ravel(), np.concatenate((a[1], b[1])))
-    return u, summed
+        order = np.lexsort(words[::-1])
+        words = [w[order] for w in words]
+        if weights is not None:
+            weights = weights[order]
+    new = np.zeros(len(words[0]), dtype=bool)
+    new[0] = True
+    for w in words:
+        new[1:] |= w[1:] != w[:-1]
+    starts = np.flatnonzero(new)
+    if weights is None:
+        sums = np.diff(starts, append=len(new))
+    else:
+        sums = np.add.reduceat(weights, starts)
+    return [w[starts] for w in words], sums
 
 
 def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
-    """Delta_2..Delta_6 by direct subset counting over explicit rows: every
-    j-subset of a row occurs at some sorted column combination, so per-combo
-    key counting followed by a cross-combo merge is exhaustive."""
-    e = len(rows)
-    if e == 0:
+    """Delta_2..Delta_6 by direct subset counting over explicit rows.
+
+    `rows` holds one hyperedge per row as six increasing ids below `base`,
+    id = edge_id * r + (color - 1), as `materialize_rows` writes them.  Every
+    j-subset of a row sits at some sorted column combination and is keyed
+    positionally in base `base`.  For j <= 3 the keys of all C(6, j)
+    combinations are counted together, since a j-set may sit at different
+    columns in different rows: in base**j dense buckets while there are no
+    more buckets than keys (C(6, j) per row), so memory follows the row
+    count, else by sorting each combination's keys and merging their counts
+    once.  For j >= 4 that cannot happen: four or more distinct edges do not
+    fit on three vertices, so they span the four vertices of exactly one K4,
+    every row holding the j-set is a copy on that K4, and sorted ids order
+    its six edges by edge id.  The j-set therefore sits at the same columns
+    in every row that holds it, and Delta_j is the largest key multiplicity
+    of any one combination, with no merge across combinations."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != 6 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"rows must be integers of shape (m, 6), not {rows.dtype} {rows.shape}")
+    m = len(rows)
+    if m == 0:
         return (0, 0, 0, 0, 0)
-    rows64 = rows.astype(np.int64)
+    if rows.min() < 0 or base <= rows.max():
+        raise ValueError(f"ids {rows.min()}..{rows.max()} do not lie in 0..{base - 1}")
+    base = int(base)
+    cols = [rows[:, i].astype(np.int64) for i in range(6)]
+    if any((cols[i] >= cols[i + 1]).any() for i in range(5)):
+        raise ValueError("every row must hold six increasing ids")
+    buf = np.empty(m, dtype=np.int64)
     out = []
     for j in range(2, 7):
-        merged = None
-        for combo in itertools.combinations(range(6), j):
-            pair = _combo_key_counts(rows64, combo, base)
-            merged = pair if merged is None else _merge_key_counts(merged, pair)
-        out.append(int(merged[1].max()))
+        combos = list(itertools.combinations(range(6), j))
+        # each key is used up before the next one is written over it
+        keys = (_subrow_keys(cols, combo, base, buf) for combo in combos)
+        if j >= 4:
+            out.append(max(int(_key_counts(k)[1].max()) for k in keys))
+        elif base ** j <= len(combos) * m:
+            counts = np.zeros(base ** j, dtype=np.int64)
+            for (k,) in keys:
+                counts += np.bincount(k, minlength=base ** j)
+            out.append(int(counts.max()))
+        else:
+            parts = [_key_counts(k) for k in keys]
+            words = [np.concatenate(w) for w in zip(*(p[0] for p in parts))]
+            out.append(int(_key_counts(words, np.concatenate([p[1] for p in parts]))[1].max()))
     return tuple(out)
 
 

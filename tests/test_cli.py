@@ -314,6 +314,33 @@ def test_batch_reads_the_cache_file_once(tmp_path, capsys, monkeypatch):
     assert opened == ["rb"]
 
 
+def test_batch_appends_its_new_records_with_one_open(isolated_cache, tmp_path, capsys,
+                                                     monkeypatch):
+    codes = [write_graph6(g) for g in enumerate_graphs(4)]
+    stream = tmp_path / "classes.g6"
+    stream.write_text("\n".join(codes) + "\n")
+    opened = []
+    monkeypatch.setattr(cache_module, "open",
+                        lambda path, mode="r", **kw: opened.append(mode) or open(path, mode, **kw),
+                        raising=False)
+    recs, _ = run_json(["count", "--input", str(stream), "-r", "5"], capsys)
+    assert len(codes) == 11
+    assert opened == ["ab"]
+    # whole lines in input order, each as `store` writes a single record
+    lines = isolated_cache.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(codes)
+    for code, rec, line in zip(codes, recs, lines):
+        expect = {
+            "fingerprint": fingerprint("count", {"graph": code, "r": 5, "k": 4}, cli.__version__),
+            "op": "count",
+            "payload": rec,
+            "version": cli.__version__,
+            "timestamp": json.loads(line)["timestamp"],
+        }
+        assert line == json.dumps(expect, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _stress_writer(args):
     path, worker = args
     cache = ResultCache(path)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from rtlab import containers
 from rtlab.containers import (
     C_ELL_BOUND,
     DELTA_BOUND_DENOM,
@@ -202,6 +204,134 @@ def test_max_codegree_on_general_templates_matches_enumeration():
             assert max_codegree(t, j) == expect[j - 2]
 
 
+# Row co-degrees against the counter they replaced: np.unique per column
+# combination, merged across all C(6, j) combinations one at a time.  Its
+# keys take at most two words of three digits, so it needs base**3 < 2**62.
+
+
+def _merge_oracle_combo_counts(rows64, combo, base):
+    j = len(combo)
+    if base ** j < 2 ** 62:
+        keys = rows64[:, combo[0]].copy()
+        for c in combo[1:]:
+            keys *= base
+            keys += rows64[:, c]
+        u, cnt = np.unique(keys, return_counts=True)
+        return u.reshape(-1, 1), cnt.astype(np.int64)
+    half = (j + 1) // 2
+    hi = rows64[:, combo[0]].copy()
+    for c in combo[1:half]:
+        hi *= base
+        hi += rows64[:, c]
+    lo = rows64[:, combo[half]].copy()
+    for c in combo[half + 1 :]:
+        lo *= base
+        lo += rows64[:, c]
+    u, cnt = np.unique(np.stack([hi, lo], axis=1), axis=0, return_counts=True)
+    return u, cnt.astype(np.int64)
+
+
+def _merge_oracle_merge(a, b):
+    keys = np.concatenate((a[0], b[0]), axis=0)
+    if keys.shape[1] == 1:
+        u, inv = np.unique(keys[:, 0], return_inverse=True)
+        u = u.reshape(-1, 1)
+    else:
+        u, inv = np.unique(keys, axis=0, return_inverse=True)
+    summed = np.zeros(len(u), dtype=np.int64)
+    np.add.at(summed, inv.ravel(), np.concatenate((a[1], b[1])))
+    return u, summed
+
+
+def merge_oracle_max_codegrees(rows, base):
+    if len(rows) == 0:
+        return (0, 0, 0, 0, 0)
+    rows64 = rows.astype(np.int64)
+    out = []
+    for j in range(2, 7):
+        merged = None
+        for combo in itertools.combinations(range(6), j):
+            pair = _merge_oracle_combo_counts(rows64, combo, base)
+            merged = pair if merged is None else _merge_oracle_merge(merged, pair)
+        out.append(int(merged[1].max()))
+    return tuple(out)
+
+
+def _codegree_oracle_templates():
+    """Seeded templates on 4-6 vertices with r = 6..9: K_n less up to two
+    random edges with random lists, plus K5-e and K6-e with long lists.  On
+    five or more vertices a triangle lies in two or more K4s, so the j <= 3
+    counts must add up across columns."""
+    rng = random.Random(0xC0DE6)
+    out = []
+    for _ in range(10):
+        n, r = rng.randint(4, 6), rng.randint(6, 9)
+        mask = (1 << comb(n, 2)) - 1
+        for _ in range(rng.randint(0, 2)):
+            mask &= ~(1 << rng.randrange(comb(n, 2)))
+        g = Graph.from_mask(n, mask)
+        out.append(Template(g, r, [sum(1 << c for c in range(r) if rng.random() < 0.75)
+                                   for _ in range(g.edge_count)]))
+    for n, r in ((5, 6), (5, 9), (6, 7), (6, 8)):
+        g = Graph.from_mask(n, (1 << comb(n, 2)) - 2)  # K_n minus the edge 01
+        full = (1 << r) - 1
+        masks = [full & ~(1 << rng.randrange(r)) if rng.random() < 0.4 else full
+                 for _ in range(g.edge_count)]
+        out.append(Template(g, r, masks))
+    return out
+
+
+def test_row_codegrees_match_the_merge_oracle():
+    nonempty = 0
+    for t in _codegree_oracle_templates():
+        rows = materialize_rows(t)
+        assert rows.dtype == np.uint16
+        base = t.graph.edge_count * t.r
+        want = merge_oracle_max_codegrees(rows, base)
+        nonempty += want != (0, 0, 0, 0, 0)
+        for dtype in (np.uint16, np.int64):
+            assert max_codegrees_from_rows(rows.astype(dtype), base) == want
+        # past the dense budget for j <= 3 and past one int64 word for j >= 4
+        wide = base * 10 ** 4
+        assert wide ** 3 > 20 * len(rows) and wide ** 4 >= 2 ** 63
+        assert max_codegrees_from_rows(rows, wide) == want
+    assert nonempty >= 8
+    for dtype in (np.uint16, np.int64):
+        assert max_codegrees_from_rows(np.empty((0, 6), dtype=dtype), 36) == (0, 0, 0, 0, 0)
+
+
+def test_row_codegrees_validate_their_input():
+    rows = materialize_rows(complete_template(complete_graph(4), 6))  # ids 0..35
+    assert max_codegrees_from_rows(rows, 36) == (24, 6, 2, 1, 1)
+    assert max_codegrees_from_rows(rows, 37) == (24, 6, 2, 1, 1)
+    for bad_base in (20, 35):  # keys of distinct sets would collide
+        with pytest.raises(ValueError):
+            max_codegrees_from_rows(rows, bad_base)
+    for bad in (rows[:, :5], rows.ravel(), rows[None], rows[:, ::-1], rows.astype(float),
+                rows.astype(np.int64) - 1):
+        with pytest.raises(ValueError):
+            max_codegrees_from_rows(bad, 36)
+
+
+def test_row_codegrees_memory_follows_the_row_count():
+    # one K4 on vertices 40..43 at the end of a 40-edge path: its edges take
+    # the largest ids, so base**3 = 552**3 dense buckets would need 1.3 GB
+    g = Graph(44, [(i, i + 1) for i in range(40)]
+              + list(itertools.combinations(range(40, 44), 2)))
+    t = complete_template(g, 12)
+    rows = materialize_rows(t)
+    base = g.edge_count * 12
+    assert (len(rows), base, int(rows.max())) == (665280, 552, 551)
+    tracemalloc.start()
+    try:
+        got = max_codegrees_from_rows(rows, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (5040, 504, 56, 7, 1)
+    assert peak < 150 * 2 ** 20
+
+
 def test_max_codegree_structural_path(k6):
     t = complete_template(k6, 12)
     assert max_codegree(t, 6) == 1
@@ -367,6 +497,20 @@ def test_min_n_boundary_and_monotonicity():
 def test_min_n_nonincreasing_in_r():
     vals = [min_n_for_container(r) for r in (12, 13, 16, 24, 40, 64)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_min_n_is_the_same_under_saxton_thomason_weights(monkeypatch):
+    # 2^-(j-2) here, 2^-C(j-1,2) in Saxton-Thomason: tau binds, so the
+    # threshold does not move
+    rs = (6, 12, 64)
+    ours = [min_n_for_container(r) for r in rs]
+    stats, _ = build_rainbow_hypergraph(complete_template(complete_graph(5), 7))
+    before = delta_tau(stats, Fraction(1, 2))
+    monkeypatch.setattr(
+        containers, "DELTA_WEIGHTS", tuple(Fraction(1, 2 ** comb(j - 1, 2)) for j in range(2, 7))
+    )
+    assert delta_tau(stats, Fraction(1, 2)) < before  # the other weights are in use
+    assert [min_n_for_container(r) for r in rs] == ours
 
 
 def test_min_n_requires_six_colors():
