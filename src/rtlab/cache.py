@@ -86,10 +86,7 @@ class ResultCache:
                 return payload
         return None
 
-    def store(self, fp: str, op: str, payload: dict, version: str):
-        self.store_many(op, [(fp, payload)], version)
-
-    def store_many(self, op: str, entries, version: str):
+    def store(self, op: str, entries, version: str):
         """Append one record per (fingerprint, payload) pair, in order, with
         one open and one write call."""
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

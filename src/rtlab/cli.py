@@ -340,7 +340,7 @@ def _run_batch(op: str, items, fp_params, build, cache, workers: int):
             results = [build(t) for t in tasks]
         payloads.update(zip(todo, results))
         if cache:
-            cache.store_many(op, list(zip(todo, results)), __version__)
+            cache.store(op, list(zip(todo, results)), __version__)
     return [payloads[fp] for fp in fps]
 
 

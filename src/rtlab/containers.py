@@ -203,9 +203,9 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
 
 def _subrow_keys(cols, combo, base: int, buf: np.ndarray) -> list:
     """Positional base-`base` keys of the sub-rows at the sorted column
-    positions `combo`, as int64 word arrays, most significant first: one
-    word while base**len(combo) fits, else as many digits per word as fit.
-    The first word is written over `buf`."""
+    positions `combo`, as word arrays of `buf`'s dtype, most significant
+    first: one word while base**len(combo) fits, else (int64 only) as many
+    digits per word as fit.  The first word is written over `buf`."""
     per = 1
     while per < len(combo) and base ** (per + 1) <= 2 ** 63:
         per += 1
@@ -249,17 +249,19 @@ def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
     `rows` holds one hyperedge per row as six increasing ids below `base`,
     id = edge_id * r + (color - 1), as `materialize_rows` writes them.  Every
     j-subset of a row sits at some sorted column combination and is keyed
-    positionally in base `base`.  For j <= 3 the keys of all C(6, j)
-    combinations are counted together, since a j-set may sit at different
-    columns in different rows: in base**j dense buckets while there are no
-    more buckets than keys (C(6, j) per row), so memory follows the row
-    count, else by sorting each combination's keys and merging their counts
-    once.  For j >= 4 that cannot happen: four or more distinct edges do not
-    fit on three vertices, so they span the four vertices of exactly one K4,
-    every row holding the j-set is a copy on that K4, and sorted ids order
-    its six edges by edge id.  The j-set therefore sits at the same columns
-    in every row that holds it, and Delta_j is the largest key multiplicity
-    of any one combination, with no merge across combinations."""
+    positionally in base `base`, as an int32 while base**j fits one, since
+    those sort about twice as fast.  For j <= 3 a j-set may sit at different
+    columns in different rows, so each combination's keys are sorted and
+    counted and the counts of all C(6, j) combinations are merged once.  For
+    j >= 4 that cannot happen in rows laid out as above, one K4's six
+    distinct edges per row: four or more distinct edges do not fit on three
+    vertices, so they span the four vertices of exactly one K4, every row
+    holding the j-set is a copy on that K4, and sorted ids order its six
+    edges by edge id.  The j-set therefore sits at the same columns in every
+    row that holds it, and Delta_j is the largest key multiplicity of any
+    one combination, with no merge across combinations.  Rows outside that
+    layout (say, two colours of one edge in a row) pass the input checks but
+    may get Delta_4..Delta_6 undercounted."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != 6 or not np.issubdtype(rows.dtype, np.integer):
         raise ValueError(f"rows must be integers of shape (m, 6), not {rows.dtype} {rows.shape}")
@@ -268,27 +270,25 @@ def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
         return (0, 0, 0, 0, 0)
     if rows.min() < 0 or base <= rows.max():
         raise ValueError(f"ids {rows.min()}..{rows.max()} do not lie in 0..{base - 1}")
-    base = int(base)
-    cols = [rows[:, i].astype(np.int64) for i in range(6)]
-    if any((cols[i] >= cols[i + 1]).any() for i in range(5)):
+    if (rows[:, 1:] <= rows[:, :-1]).any():
         raise ValueError("every row must hold six increasing ids")
-    buf = np.empty(m, dtype=np.int64)
+    base = int(base)
+    buf = None
     out = []
     for j in range(2, 7):
-        combos = list(itertools.combinations(range(6), j))
-        # each key is used up before the next one is written over it
-        keys = (_subrow_keys(cols, combo, base, buf) for combo in combos)
+        dtype = np.int32 if base ** j < 2 ** 31 else np.int64
+        if buf is None or buf.dtype != dtype:
+            cols = buf = None  # one copy of the columns at a time
+            cols = [rows[:, i].astype(dtype) for i in range(6)]
+            buf = np.empty(m, dtype=dtype)
+        # each key is used up before the next one is written over the buffer
+        keys = (_subrow_keys(cols, combo, base, buf) for combo in itertools.combinations(range(6), j))
         if j >= 4:
             out.append(max(int(_key_counts(k)[1].max()) for k in keys))
-        elif base ** j <= len(combos) * m:
-            counts = np.zeros(base ** j, dtype=np.int64)
-            for (k,) in keys:
-                counts += np.bincount(k, minlength=base ** j)
-            out.append(int(counts.max()))
         else:
             parts = [_key_counts(k) for k in keys]
-            words = [np.concatenate(w) for w in zip(*(p[0] for p in parts))]
-            out.append(int(_key_counts(words, np.concatenate([p[1] for p in parts]))[1].max()))
+            merged = [np.concatenate(w) for w in zip(*(p[0] for p in parts))]
+            out.append(int(_key_counts(merged, np.concatenate([p[1] for p in parts]))[1].max()))
     return tuple(out)
 
 

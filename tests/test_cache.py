@@ -166,7 +166,7 @@ def test_missing_file_is_empty_and_store_creates_it(tmp_path, capsys):
     cache = ResultCache(str(path))
     assert cache.lookup("0" * 32) is None
     assert cache._index == {}
-    cache.store("0" * 32, "count", {"count": "3"}, "0.1.0")
+    cache.store("count", [("0" * 32, {"count": "3"})], "0.1.0")
     assert cache.lookup("0" * 32) == {"count": "3"}
     assert oracle_index(path) == ({"0" * 32: {"count": "3"}}, 0)
     assert capsys.readouterr().err == ""
@@ -180,7 +180,7 @@ def test_store_after_load_is_seen_and_readable_by_the_oracle(tmp_path):
     cache = ResultCache(str(path))
     cache.lookup(fps[0])  # loads the index
     for i, fp in enumerate(fps[:4] + ["short-key"]):
-        cache.store(fp, "count", {"i": i}, "0.1.0")
+        cache.store("count", [(fp, {"i": i})], "0.1.0")
     expected, _ = oracle_index(path)
     fresh = ResultCache(str(path))
     for fp in fps + ["short-key"]:
@@ -190,7 +190,7 @@ def test_store_after_load_is_seen_and_readable_by_the_oracle(tmp_path):
 
 def test_index_stays_unloaded_until_the_first_read(tmp_path):
     cache = ResultCache(str(tmp_path / "c.jsonl"))
-    cache.store("a" * 32, "count", {}, "0.1.0")
+    cache.store("count", [("a" * 32, {})], "0.1.0")
     assert cache._index is None
     assert cache.lookup("a" * 32) == {}
     assert cache._index is not None

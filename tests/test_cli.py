@@ -139,7 +139,7 @@ def test_critical_nonpositive_original_n_skips_the_cache(isolated_cache, tmp_pat
     )
     stale = {"op": "critical", "triangles": [], "edges": [], "vertices": [],
              "current_n": 4, "original_n": -5}
-    ResultCache(str(isolated_cache)).store(fp, "critical", stale, cli.__version__)
+    ResultCache(str(isolated_cache)).store("critical", [(fp, stale)], cli.__version__)
     code, out, err = run_cli(["critical", "--template", str(path), "--original-n", "-5"], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "invalid-argument"
@@ -326,7 +326,7 @@ def test_batch_appends_its_new_records_with_one_open(isolated_cache, tmp_path, c
     recs, _ = run_json(["count", "--input", str(stream), "-r", "5"], capsys)
     assert len(codes) == 11
     assert opened == ["ab"]
-    # whole lines in input order, each as `store` writes a single record
+    # whole lines in input order, each one record as sorted compact JSON
     lines = isolated_cache.read_bytes().split(b"\n")
     assert lines.pop() == b""
     assert len(lines) == len(codes)
@@ -346,7 +346,7 @@ def _stress_writer(args):
     cache = ResultCache(path)
     for i in range(25):
         fp = fingerprint("stress", {"worker": worker, "i": i}, "0")
-        cache.store(fp, "stress", {"worker": worker, "i": i}, "0")
+        cache.store("stress", [(fp, {"worker": worker, "i": i})], "0")
     return worker
 
 

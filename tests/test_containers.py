@@ -291,9 +291,9 @@ def test_row_codegrees_match_the_merge_oracle():
         nonempty += want != (0, 0, 0, 0, 0)
         for dtype in (np.uint16, np.int64):
             assert max_codegrees_from_rows(rows.astype(dtype), base) == want
-        # past the dense budget for j <= 3 and past one int64 word for j >= 4
+        # int64 keys from j = 2 on, and past one int64 word for j >= 4
         wide = base * 10 ** 4
-        assert wide ** 3 > 20 * len(rows) and wide ** 4 >= 2 ** 63
+        assert wide ** 2 >= 2 ** 31 and wide ** 4 >= 2 ** 63
         assert max_codegrees_from_rows(rows, wide) == want
     assert nonempty >= 8
     for dtype in (np.uint16, np.int64):
@@ -315,7 +315,8 @@ def test_row_codegrees_validate_their_input():
 
 def test_row_codegrees_memory_follows_the_row_count():
     # one K4 on vertices 40..43 at the end of a 40-edge path: its edges take
-    # the largest ids, so base**3 = 552**3 dense buckets would need 1.3 GB
+    # the largest ids, so counting j = 3 in base**3 = 552**3 dense buckets
+    # would need 1.3 GB
     g = Graph(44, [(i, i + 1) for i in range(40)]
               + list(itertools.combinations(range(40, 44), 2)))
     t = complete_template(g, 12)
