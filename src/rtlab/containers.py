@@ -293,13 +293,11 @@ def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
 
 
 def codegree_from_rows(rows: np.ndarray, vids) -> int:
-    """Number of explicit rows containing every given hypergraph vertex."""
-    if len(rows) == 0:
-        return 0
-    mask = np.ones(len(rows), dtype=bool)
+    """Number of explicit rows containing every given hypergraph vertex;
+    each id is tested only on the rows that hold all the ids before it."""
     for v in vids:
-        mask &= (rows == v).any(axis=1)
-    return int(np.count_nonzero(mask))
+        rows = rows[(rows == v).any(axis=1)]
+    return len(rows)
 
 
 def codegree(t: Template, pairs) -> int:

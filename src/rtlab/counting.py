@@ -22,14 +22,29 @@ K_k-free host is the case of no blocks.  Coefficient j of a product needs
 only input coefficients <= j, so capping every factor at max_classes
 classes is exact.
 
-Each block is enumerated on its own, visiting at most Bell(m_b) states for
-its m_b edges.  Partitions are enumerated as restricted growth strings; a
-branch dies as soon as some k-clique has all C(k,2) edges placed into
-C(k,2) distinct classes.  Once two edges of a clique share a class the
-clique can never become rainbow, so its tracking is switched off for the
-whole subtree.  Edges are placed in order of decreasing k-clique
-participation so that constraints bite early.  Work caps are checked
-against the sum of the blocks' partition bounds; free edges cost nothing.
+Each block runs one of two engines.  The partition engine enumerates the
+block's partitions as restricted growth strings, at most Bell(m_b) states
+for its m_b edges; a branch dies as soon as some k-clique has all C(k,2)
+edges placed into C(k,2) distinct classes.  Once two edges of a clique
+share a class the clique can never become rainbow, so its tracking is
+switched off for the whole subtree.  Edges are placed in order of
+decreasing k-clique participation so that constraints bite early.
+
+The inclusion-exclusion engine sums over the sets S of the block's
+cliques: the partitions making every clique of S rainbow number
+S(uncovered, .) (x) P(H_S), where the edges S leaves uncovered are free
+and P(H_S)[j] counts the partitions of the covered edges into j
+independent sets of H_S, the graph joining two edges when a clique of S
+holds both.  Then weights = sum_S (-1)^|S| S(uncovered, .) (x) P(H_S).
+P(H_S) is enumerated by restricted growth with at most
+prod_i (1 + earlier vertices not adjacent to vertex i) leaves.
+
+Each block runs the engine with the smaller leaf estimate: Bell(m_b)
+capped at max_classes classes, or the sum of those products over all S.
+The second is cut off once it passes the smaller of the work cap and the
+first, and skipped when 2^q cliques already pass it.  Work caps are
+checked against the sum of the chosen estimates; free edges cost nothing.
+Worker processes split only partition-engine blocks.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from .graphs import (
 )
 
 DEFAULT_ORACLE_CAP = 10 ** 9
-DEFAULT_WORK_CAP = 10 ** 8  # partition states; refuses K6, one 15-edge block (Bell(15))
+DEFAULT_WORK_CAP = 10 ** 8  # leaves of the chosen engines; refuses K6 and K6-e
 SPLIT_DEPTH = 4  # partition-prefix depth for parallel work splitting
 
 
@@ -112,10 +127,6 @@ def _blocks(g: Graph, k: int):
         grouped.setdefault(find(eids[0]), []).append(eids)
     blocks = [(sorted({e for eids in qs for e in eids}), qs) for qs in grouped.values()]
     return g.edge_count - sum(len(edges) for edges, _ in blocks), blocks
-
-
-def _work_estimate(blocks, max_classes: int) -> int:
-    return sum(estimate_partition_work(len(edges), max_classes) for edges, _ in blocks)
 
 
 def _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, prefix, depth=None):
@@ -222,6 +233,117 @@ def _falling_product(a, b, top: int) -> list:
     return out
 
 
+def _clique_masks(edges, eid_sets) -> list:
+    """One bitmask per clique over the block's placement positions."""
+    masks = [0] * len(eid_sets)
+    for pos, qs in enumerate(_placement_index(edges, eid_sets)[0]):
+        for q in qs:
+            masks[q] |= 1 << pos
+    return masks
+
+
+def _clique_set_graphs(masks):
+    """Per set S of cliques (bitmask over `masks`): (|S| odd, covered-edge
+    mask, H_S as (vertex bit, mask of the vertex and its neighbours) pairs
+    in placement order); two edges are adjacent when a clique of S holds
+    both."""
+    for s in range(1 << len(masks)):
+        adj = {}
+        cover = 0
+        for q, cm in enumerate(masks):
+            if s >> q & 1:
+                cover |= cm
+                rest = cm
+                while rest:
+                    bit = rest & -rest
+                    adj[bit] = adj.get(bit, 0) | cm
+                    rest ^= bit
+        yield s.bit_count() & 1, cover, sorted(adj.items())
+
+
+def _ie_estimate(masks, bound: int) -> int:
+    """Leaf bound of the inclusion-exclusion engine: sum over S of
+    prod_i (1 + earlier vertices of H_S not adjacent to vertex i).  Stops
+    at the first partial sum past `bound` and returns it, or 2^q when
+    that alone passes it; each term is at least 1."""
+    total = 1 << len(masks)
+    if total > bound:
+        return total
+    total = 0
+    for _, _, vertices in _clique_set_graphs(masks):
+        leaves = 1
+        earlier = 0
+        for bit, adj in vertices:
+            leaves *= 1 + (earlier & ~adj).bit_count()
+            earlier |= bit
+        total += leaves
+        if total > bound:
+            return total
+    return total
+
+
+def _independent_partitions(vertices, top: int) -> list:
+    """w[j] = partitions of the vertices into j independent sets, j <= top,
+    by restricted growth over (vertex bit, closed neighbourhood) pairs; the
+    last vertex is counted, not placed."""
+    if not vertices:
+        return [1]
+    weights = [0] * (len(vertices) + 1)
+    classes = []
+    last = len(vertices) - 1
+
+    def rec(i: int):
+        bit, adj = vertices[i]
+        used = len(classes)
+        if i == last:
+            weights[used] += sum(1 for c in classes if not c & adj)
+            if used < top:
+                weights[used + 1] += 1
+            return
+        for c in range(used):
+            if not classes[c] & adj:
+                classes[c] |= bit
+                rec(i + 1)
+                classes[c] ^= bit
+        if used < top:
+            classes.append(bit)
+            rec(i + 1)
+            classes.pop()
+
+    rec(0)
+    return weights
+
+
+def _ie_block_weights(edges, eid_sets, max_classes: int) -> list:
+    """Partition weights of one block by inclusion-exclusion over its
+    clique sets: sum_S (-1)^|S| S(uncovered, .) (x) P(H_S), where P(H_S)
+    counts the partitions that make every clique of S rainbow."""
+    m = len(edges)
+    top = min(max_classes, m)
+    totals = [0] * (m + 1)
+    for odd, cover, vertices in _clique_set_graphs(_clique_masks(edges, eid_sets)):
+        term = _falling_product(
+            stirling2_row(m - cover.bit_count()),
+            _independent_partitions(vertices, top),
+            top,
+        )
+        for j, x in enumerate(term):
+            totals[j] += -x if odd else x
+    return totals
+
+
+def _block_cost(edges, eid_sets, max_classes: int, cap: int = None) -> tuple:
+    """(estimate, use_ie): the smaller of the two engines' leaf estimates
+    and whether it is inclusion-exclusion's.  The inclusion-exclusion
+    estimate is cut off past min(cap, Bell estimate), so an estimate
+    above the cap is only a lower bound."""
+    bell = estimate_partition_work(len(edges), max_classes)
+    ie = _ie_estimate(
+        _clique_masks(edges, eid_sets), bell if cap is None else min(cap, bell)
+    )
+    return (ie, True) if ie <= bell else (bell, False)
+
+
 def partition_weights(
     g: Graph,
     k: int = 4,
@@ -233,24 +355,28 @@ def partition_weights(
     which no k-clique occupies C(k,2) distinct classes; classes beyond
     max_classes are not explored (their falling-factorial weight is zero
     at the corresponding r).  Free edges and blocks are counted apart and
-    combined exactly; work_cap bounds the blocks' summed enumeration."""
+    combined exactly; work_cap bounds the sum of the leaf estimates of the
+    engines chosen for the blocks."""
     if k < 3:
         raise ValueError("k must be >= 3")
     m = g.edge_count
     if max_classes is None or max_classes > m:
         max_classes = m
     free, blocks = _blocks(g, k)
-    if work_cap is not None:
-        est = _work_estimate(blocks, max_classes)
-        if est > work_cap:
-            raise CapExceeded(
-                f"estimated {est} partitions exceeds work cap {work_cap}",
-                estimate=est,
-                cap=work_cap,
-            )
+    costs = [_block_cost(edges, qs, max_classes, work_cap) for edges, qs in blocks]
+    est = sum(c for c, _ in costs)
+    if work_cap is not None and est > work_cap:
+        raise CapExceeded(
+            f"estimated {est} enumeration leaves exceeds work cap {work_cap}",
+            estimate=est,
+            cap=work_cap,
+        )
     weights = stirling2_row(free)
-    for edges, eid_sets in blocks:
-        block = _block_weights(edges, eid_sets, max_classes, workers)
+    for (edges, eid_sets), (_, use_ie) in zip(blocks, costs):
+        if use_ie:
+            block = _ie_block_weights(edges, eid_sets, max_classes)
+        else:
+            block = _block_weights(edges, eid_sets, max_classes, workers)
         weights = _falling_product(weights, block, max_classes)
     return tuple(w if j <= max_classes else 0 for j, w in enumerate(weights))
 
@@ -411,10 +537,14 @@ def rho_max_search(
     if not graphs:
         raise ValueError("no graphs to search")
     if work_cap is not None and r >= comb(k, 2):
-        est = sum(_work_estimate(_blocks(g, k)[1], r) for g in graphs)
+        est = sum(
+            _block_cost(edges, qs, r, work_cap)[0]
+            for g in graphs
+            for edges, qs in _blocks(g, k)[1]
+        )
         if est > work_cap:
             raise CapExceeded(
-                f"estimated {est} partition states exceeds work cap {work_cap}",
+                f"estimated {est} enumeration leaves exceeds work cap {work_cap}",
                 estimate=est,
                 cap=work_cap,
             )

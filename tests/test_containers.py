@@ -300,6 +300,36 @@ def test_row_codegrees_match_the_merge_oracle():
         assert max_codegrees_from_rows(np.empty((0, 6), dtype=dtype), 36) == (0, 0, 0, 0, 0)
 
 
+def mask_oracle_codegree(rows, vids):
+    """Every id tested on the whole array, the membership masks AND-ed."""
+    if len(rows) == 0:
+        return 0
+    mask = np.ones(len(rows), dtype=bool)
+    for v in vids:
+        mask &= (rows == v).any(axis=1)
+    return int(np.count_nonzero(mask))
+
+
+def test_row_codegree_matches_the_mask_oracle():
+    rng = random.Random(0xC0DE7)
+    hits = 0
+    for t in _codegree_oracle_templates():
+        rows = materialize_rows(t)
+        base = t.graph.edge_count * t.r
+        picks = [[]] + [sorted(rng.sample(range(base), rng.randint(1, 6))) for _ in range(20)]
+        # sets drawn from a row hit it, including repeated ids
+        picks += [sorted(rng.sample(list(rows[rng.randrange(len(rows))]), rng.randint(1, 6)))
+                  for _ in range(20) if len(rows)]
+        picks.append([int(rows[0, 0])] * 2 if len(rows) else [0, 0])
+        for vids in picks:
+            want = mask_oracle_codegree(rows, vids)
+            hits += want > 0
+            assert codegree_from_rows(rows, vids) == want
+            assert codegree_from_rows(rows.astype(np.int64), vids) == want
+        assert codegree_from_rows(rows[:0], picks[-1]) == 0
+    assert hits >= 100
+
+
 def test_row_codegrees_validate_their_input():
     rows = materialize_rows(complete_template(complete_graph(4), 6))  # ids 0..35
     assert max_codegrees_from_rows(rows, 36) == (24, 6, 2, 1, 1)

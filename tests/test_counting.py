@@ -5,8 +5,15 @@ import pytest
 
 from rtlab.counting import (
     SPLIT_DEPTH,
+    _block_cost,
+    _block_weights,
     _blocks,
+    _clique_masks,
+    _clique_set_graphs,
     _constraint_index,
+    _ie_block_weights,
+    _ie_estimate,
+    _independent_partitions,
     _weights_from_prefix,
     bounds_compare,
     brute_force_count,
@@ -93,6 +100,17 @@ def test_count_oracle_equivalence_n4(classes4):
             assert count_colorings(g, r, 4) == brute_force_count(g, r, 4)
 
 
+def test_count_oracle_equivalence_n5(classes5):
+    # r >= 6 makes count_colorings enumerate; r^m <= 10^6 keeps brute force small
+    checked = 0
+    for g in classes5:
+        for r in (6, 7):
+            if r ** g.edge_count <= 10 ** 6:
+                assert count_colorings(g, r, 4) == brute_force_count(g, r, 4)
+                checked += count_cliques(g, 4) > 0
+    assert checked >= 2
+
+
 def test_count_rejects_bad_params(k4):
     with pytest.raises(ValueError):
         count_colorings(k4, 0, 4)
@@ -138,9 +156,15 @@ def test_count_monotone_in_r(k4, k5):
 
 
 def test_count_workers_deterministic(k5):
-    g = Graph.from_mask(5, (1 << 10) - 1)  # K5
-    assert count_colorings(g, 7, 4, workers=2) == count_colorings(g, 7, 4)
-    assert g.edge_count > SPLIT_DEPTH
+    # K5 now takes the inclusion-exclusion engine, so the prefix split is
+    # driven on its block directly
+    (edges, qs), = _blocks(k5, 4)[1]
+    assert len(edges) > SPLIT_DEPTH
+    for top in (7, 10):
+        split = _block_weights(edges, qs, top, workers=2)
+        assert split == _block_weights(edges, qs, top, workers=1)
+        assert split == _ie_block_weights(edges, qs, top)
+    assert count_colorings(k5, 7, 4, workers=2) == count_colorings(k5, 7, 4)
 
 
 def test_count_work_cap(k5):
@@ -213,7 +237,8 @@ def test_polynomial_edge_cap():
     # K4-free: 21 free edges, nothing to enumerate, so the default cap passes
     poly = partition_polynomial(turan_graph(8, 3), 4)
     assert poly.coeffs == tuple(stirling2_row(21)[1:])
-    # K6 is one 15-edge block: Bell(15) partitions exceed the default work cap
+    # K6 is one 15-edge block: Bell(15) partitions and the inclusion-exclusion
+    # bound over its 2^15 K4 sets both exceed the default work cap
     with pytest.raises(CapExceeded):
         partition_polynomial(complete_graph(6), 4)
 
@@ -305,25 +330,105 @@ def test_block_products_pin_counts():
 
 
 def test_work_cap_sums_block_estimates():
-    # free edges cost nothing; each 6-edge block costs Bell(6) = 203
-    assert partition_weights(parse_graph6(K4_PATH), 4, work_cap=203)
+    # free edges cost nothing; a lone K4 block costs 2 inclusion-exclusion
+    # leaves (S empty, and S = {K4} whose graph is K6), far below Bell(6)
+    assert partition_weights(parse_graph6(K4_PATH), 4, work_cap=2)
     g = parse_graph6(TWO_K4)
-    assert count_colorings(g, 12, 4, work_cap=2 * 203) == K4_R12 ** 2
+    assert count_colorings(g, 12, 4, work_cap=2 * 2) == K4_R12 ** 2
     with pytest.raises(CapExceeded) as exc:
-        count_colorings(g, 12, 4, work_cap=2 * 203 - 1)
-    assert exc.value.estimate == 2 * 203
-    assert rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 203).best_count == K4_R12 ** 2
+        count_colorings(g, 12, 4, work_cap=2 * 2 - 1)
+    assert exc.value.estimate == 2 * 2
+    assert rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 2).best_count == K4_R12 ** 2
     with pytest.raises(CapExceeded) as exc:
-        rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 203 - 1)
-    assert exc.value.estimate == 2 * 203
+        rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 2 - 1)
+    assert exc.value.estimate == 2 * 2
     # T3(7) plus an edge inside its 3-vertex part: 4 K4s forming one 13-edge
-    # block next to 4 free edges, so at r=12 the bound is Bell(13) - 1
+    # block next to 4 free edges.  At r=12 the partition bound is
+    # Bell(13) - 1; inclusion-exclusion's is far smaller and is the one used
     t = turan_graph(7, 3)
     g = Graph(7, t.edges + ((0, 1),))
     assert count_cliques(g, 4) == 4
+    assert estimate_partition_work(13, 12) == 27644436 == sum(stirling2_row(13)) - 1
+    est = 972221
+    assert count_colorings(g, 12, 4, work_cap=est) == 886580275315802112 == T3_6_E_R12 * 12 ** 4
     with pytest.raises(CapExceeded) as exc:
-        count_colorings(g, 12, 4, work_cap=10 ** 7)
-    assert exc.value.estimate == 27644436 == sum(stirling2_row(13)) - 1
+        count_colorings(g, 12, 4, work_cap=est - 1)
+    assert exc.value.estimate == est
+    assert rho_max_search(7, 12, 4, graphs=[g], work_cap=est).best_count == 886580275315802112
+    with pytest.raises(CapExceeded) as exc:
+        rho_max_search(7, 12, 4, graphs=[g], work_cap=est - 1)
+    assert exc.value.estimate == est
+
+
+def test_work_cap_on_a_partition_engine_host(k5):
+    # triangles of K5: Bell(10) = 115975 partition states undercut the
+    # inclusion-exclusion bound over its 2^10 triangle sets
+    (edges, qs), = _blocks(k5, 3)[1]
+    est = sum(stirling2_row(10))
+    assert est == 115975
+    assert _block_cost(edges, qs, 12) == (est, False)
+    want = count_colorings(k5, 12, 3)
+    assert count_colorings(k5, 12, 3, work_cap=est) == want
+    with pytest.raises(CapExceeded) as exc:
+        count_colorings(k5, 12, 3, work_cap=est - 1)
+    assert exc.value.estimate == est
+    assert rho_max_search(5, 12, 3, graphs=[k5], work_cap=est).best_count == want
+    with pytest.raises(CapExceeded) as exc:
+        rho_max_search(5, 12, 3, graphs=[k5], work_cap=est - 1)
+    assert exc.value.estimate == est
+
+
+# ---------------------------------------------------------------------------
+# the inclusion-exclusion engine against the partition engine
+
+T3_6_E = "E}~o"  # T3(6) plus an edge inside a part: one 13-edge block
+T3_6_E_R12 = 42755607412992
+
+
+def test_engines_agree_on_every_block_n5():
+    blocks = 0
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            for k in (3, 4):
+                for edges, qs in _blocks(g, k)[1]:
+                    blocks += 1
+                    for top in range(len(edges) + 1):
+                        assert _ie_block_weights(edges, qs, top) == _block_weights(
+                            edges, qs, top, workers=1
+                        ), (write_graph6(g), k, top)
+    assert blocks == 32
+
+
+def test_ie_engine_pins_t3_6_plus_edge():
+    g = parse_graph6(T3_6_E)
+    free, blocks = _blocks(g, 4)
+    assert free == 0 and [len(edges) for edges, _ in blocks] == [13]
+    (edges, qs), = blocks
+    assert _block_cost(edges, qs, 12)[1]
+    assert count_colorings(g, 12, 4) == T3_6_E_R12
+
+
+def test_ie_estimate_bounds_its_leaves():
+    hosts = [g for n in range(6) for g in enumerate_graphs(n)] + [parse_graph6(T3_6_E)]
+    for g in hosts:
+        for k in (3, 4):
+            for edges, qs in _blocks(g, k)[1]:
+                if not _block_cost(edges, qs, len(edges))[1]:
+                    continue  # the bound is checked where the engine runs
+                masks = _clique_masks(edges, qs)
+                leaves = sum(
+                    sum(_independent_partitions(vertices, len(edges)))
+                    for _, _, vertices in _clique_set_graphs(masks)
+                )
+                assert _ie_estimate(masks, 10 ** 12) >= leaves >= 2 ** len(qs)
+
+
+def test_ie_estimate_stops_past_its_bound():
+    (edges, qs), = _blocks(parse_graph6(T3_6_E), 4)[1]
+    masks = _clique_masks(edges, qs)
+    full = _ie_estimate(masks, 10 ** 12)
+    assert full == _ie_estimate(masks, full) > _ie_estimate(masks, 100) > 100
+    assert _ie_estimate(masks, 15) == 16  # 2^4 clique sets pass 15 unsummed
 
 
 # ---------------------------------------------------------------------------
