@@ -22,29 +22,27 @@ K_k-free host is the case of no blocks.  Coefficient j of a product needs
 only input coefficients <= j, so capping every factor at max_classes
 classes is exact.
 
-Each block runs one of two engines.  The partition engine enumerates the
-block's partitions as restricted growth strings, at most Bell(m_b) states
-for its m_b edges; a branch dies as soon as some k-clique has all C(k,2)
-edges placed into C(k,2) distinct classes.  Once two edges of a clique
-share a class the clique can never become rainbow, so its tracking is
-switched off for the whole subtree.  Edges are placed in order of
-decreasing k-clique participation so that constraints bite early.
-
-The inclusion-exclusion engine sums over the sets S of the block's
+Each block is counted by inclusion-exclusion over the sets S of its
 cliques: the partitions making every clique of S rainbow number
 S(uncovered, .) (x) P(H_S), where the edges S leaves uncovered are free
 and P(H_S)[j] counts the partitions of the covered edges into j
 independent sets of H_S, the graph joining two edges when a clique of S
 holds both.  Then weights = sum_S (-1)^|S| S(uncovered, .) (x) P(H_S).
 P(H_S) is enumerated by restricted growth with at most
-prod_i (1 + earlier vertices not adjacent to vertex i) leaves.
+prod_i (1 + earlier vertices not adjacent to vertex i) leaves; the sum of
+those products over all S is the block's leaf estimate, and work caps
+are checked against the sum of the blocks' estimates (free edges cost
+nothing).  That sum stops at the first block that takes it past the cap
+and is not formed when 2^q cliques already pass it.  Worker processes
+split a block's clique sets.
 
-Each block runs the engine with the smaller leaf estimate: Bell(m_b)
-capped at max_classes classes, or the sum of those products over all S.
-The second is cut off once it passes the smaller of the work cap and the
-first, and skipped when 2^q cliques already pass it.  Work caps are
-checked against the sum of the chosen estimates; free edges cost nothing.
-Worker processes split only partition-engine blocks.
+The reference enumeration the tests compare against walks the block's
+set partitions as restricted growth strings, at most Bell(m_b) states
+for its m_b edges; a branch dies as soon as some k-clique has all C(k,2)
+edges placed into C(k,2) distinct classes.  Once two edges of a clique
+share a class the clique can never become rainbow, so its tracking is
+switched off for the whole subtree.  Edges are placed in order of
+decreasing k-clique participation so that constraints bite early.
 """
 
 from __future__ import annotations
@@ -67,8 +65,7 @@ from .graphs import (
 )
 
 DEFAULT_ORACLE_CAP = 10 ** 9
-DEFAULT_WORK_CAP = 10 ** 8  # leaves of the chosen engines; refuses K6 and K6-e
-SPLIT_DEPTH = 4  # partition-prefix depth for parallel work splitting
+DEFAULT_WORK_CAP = 10 ** 8  # inclusion-exclusion leaves; refuses K6 and K6-e
 
 
 def _clique_edge_sets(g: Graph, k: int) -> list:
@@ -129,19 +126,15 @@ def _blocks(g: Graph, k: int):
     return g.edge_count - sum(len(edges) for edges, _ in blocks), blocks
 
 
-def _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, prefix, depth=None):
-    """Count valid partitions extending `prefix` (class of edge 0..d-1),
-    bucketed by total class count; returns a list of length m+1.  Given a
-    `depth`, return instead the restricted-growth prefixes of that length
-    that no clique constraint kills, in lexicographic order."""
+def _enumerate_weights(m, edge_cliques, clique_sizes, max_classes) -> list:
+    """Reference count of the valid partitions of m placed edges by
+    restricted growth, bucketed by class count; returns a list of length
+    m+1."""
     nq = len(clique_sizes)
     cl_mask = [0] * nq
     cl_cnt = [0] * nq
     cl_safe = [False] * nq
     weights = [0] * (m + 1)
-    classes = list(prefix) + [0] * (m - len(prefix))
-    prefixes = []
-    end = m if depth is None else depth
 
     def place(i: int, c: int):
         """Apply one placement; returns (ok, trail)."""
@@ -169,52 +162,26 @@ def _weights_from_prefix(m, edge_cliques, clique_sizes, max_classes, prefix, dep
                 cl_mask[q] ^= bit
                 cl_cnt[q] -= 1
 
-    used = 0
-    for i, c in enumerate(prefix):
-        ok, _ = place(i, c)
-        if not ok:
-            raise ValueError("prefix already violates a clique constraint")
-        used = max(used, c + 1)
-
     def rec(i: int, used: int):
-        if i == end:
-            if depth is None:
-                weights[used] += 1
-            else:
-                prefixes.append(tuple(classes[:end]))
+        if i == m:
+            weights[used] += 1
             return
         top = used + 1 if used < max_classes else used
         for c in range(top):
             ok, trail = place(i, c)
             if ok:
-                classes[i] = c
                 rec(i + 1, used + 1 if c == used else used)
             unplace(trail)
 
-    rec(len(prefix), used)
-    return weights if depth is None else prefixes
+    rec(0, 0)
+    return weights
 
 
-def _prefix_task(args):
-    return _weights_from_prefix(*args)
-
-
-def _block_weights(edges, eid_sets, max_classes: int, workers: int) -> list:
-    """Partition weights of one block, split across worker processes by
-    valid depth-SPLIT_DEPTH prefixes when workers > 1."""
-    m = len(edges)
-    args = (m, *_placement_index(edges, eid_sets), min(max_classes, m))
-    if workers <= 1 or m <= SPLIT_DEPTH:
-        return _weights_from_prefix(*args, ())
-    prefixes = _weights_from_prefix(*args, (), SPLIT_DEPTH)
-    totals = [0] * (m + 1)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w in pool.map(_prefix_task, [args + (p,) for p in prefixes]):
-            for j, x in enumerate(w):
-                totals[j] += x
-    return totals
+def _block_weights(edges, eid_sets, max_classes: int) -> list:
+    """Partition weights of one block by the reference enumeration."""
+    return _enumerate_weights(
+        len(edges), *_placement_index(edges, eid_sets), min(max_classes, len(edges))
+    )
 
 
 def _falling_product(a, b, top: int) -> list:
@@ -242,12 +209,12 @@ def _clique_masks(edges, eid_sets) -> list:
     return masks
 
 
-def _clique_set_graphs(masks):
-    """Per set S of cliques (bitmask over `masks`): (|S| odd, covered-edge
-    mask, H_S as (vertex bit, mask of the vertex and its neighbours) pairs
-    in placement order); two edges are adjacent when a clique of S holds
-    both."""
-    for s in range(1 << len(masks)):
+def _clique_set_graphs(masks, start: int = 0, step: int = 1):
+    """Per set S of cliques (bitmask over `masks`, every step-th from
+    start): (|S| odd, covered-edge mask, H_S as (vertex bit, mask of the
+    vertex and its neighbours) pairs in placement order); two edges are
+    adjacent when a clique of S holds both."""
+    for s in range(start, 1 << len(masks), step):
         adj = {}
         cover = 0
         for q, cm in enumerate(masks):
@@ -314,14 +281,11 @@ def _independent_partitions(vertices, top: int) -> list:
     return weights
 
 
-def _ie_block_weights(edges, eid_sets, max_classes: int) -> list:
-    """Partition weights of one block by inclusion-exclusion over its
-    clique sets: sum_S (-1)^|S| S(uncovered, .) (x) P(H_S), where P(H_S)
-    counts the partitions that make every clique of S rainbow."""
-    m = len(edges)
-    top = min(max_classes, m)
+def _ie_weights(m: int, masks, top: int, start: int = 0, step: int = 1) -> list:
+    """sum_S (-1)^|S| S(uncovered, .) (x) P(H_S) over the clique sets S
+    that _clique_set_graphs(masks, start, step) yields."""
     totals = [0] * (m + 1)
-    for odd, cover, vertices in _clique_set_graphs(_clique_masks(edges, eid_sets)):
+    for odd, cover, vertices in _clique_set_graphs(masks, start, step):
         term = _falling_product(
             stirling2_row(m - cover.bit_count()),
             _independent_partitions(vertices, top),
@@ -332,16 +296,45 @@ def _ie_block_weights(edges, eid_sets, max_classes: int) -> list:
     return totals
 
 
-def _block_cost(edges, eid_sets, max_classes: int, cap: int = None) -> tuple:
-    """(estimate, use_ie): the smaller of the two engines' leaf estimates
-    and whether it is inclusion-exclusion's.  The inclusion-exclusion
-    estimate is cut off past min(cap, Bell estimate), so an estimate
-    above the cap is only a lower bound."""
-    bell = estimate_partition_work(len(edges), max_classes)
-    ie = _ie_estimate(
-        _clique_masks(edges, eid_sets), bell if cap is None else min(cap, bell)
-    )
-    return (ie, True) if ie <= bell else (bell, False)
+def _ie_task(args):
+    return _ie_weights(*args)
+
+
+def _ie_block_weights(edges, eid_sets, max_classes: int, workers: int = 1) -> list:
+    """Partition weights of one block by inclusion-exclusion over its
+    clique sets, each of `workers` processes taking every workers-th set."""
+    m = len(edges)
+    masks = _clique_masks(edges, eid_sets)
+    top = min(max_classes, m)
+    if workers <= 1:
+        return _ie_weights(m, masks, top)
+    totals = [0] * (m + 1)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        tasks = [(m, masks, top, i, workers) for i in range(workers)]
+        for w in pool.map(_ie_task, tasks):
+            for j, x in enumerate(w):
+                totals[j] += x
+    return totals
+
+
+def _check_work(block_lists, cap: int) -> None:
+    """Raise CapExceeded when the leaf estimates of the blocks in
+    `block_lists` sum past cap.  The sum stops at the first block that
+    takes it past, so a refusal reports a lower bound above the cap."""
+    est = 0
+    for blocks in block_lists:
+        for edges, eid_sets in blocks:
+            est += _ie_estimate(_clique_masks(edges, eid_sets), cap - est)
+            if est > cap:
+                raise CapExceeded(
+                    f"estimated {est} enumeration leaves exceeds work cap {cap}",
+                    estimate=est,
+                    cap=cap,
+                )
 
 
 def partition_weights(
@@ -355,28 +348,19 @@ def partition_weights(
     which no k-clique occupies C(k,2) distinct classes; classes beyond
     max_classes are not explored (their falling-factorial weight is zero
     at the corresponding r).  Free edges and blocks are counted apart and
-    combined exactly; work_cap bounds the sum of the leaf estimates of the
-    engines chosen for the blocks."""
+    combined exactly; work_cap bounds the sum of the blocks' leaf
+    estimates."""
     if k < 3:
         raise ValueError("k must be >= 3")
     m = g.edge_count
     if max_classes is None or max_classes > m:
         max_classes = m
     free, blocks = _blocks(g, k)
-    costs = [_block_cost(edges, qs, max_classes, work_cap) for edges, qs in blocks]
-    est = sum(c for c, _ in costs)
-    if work_cap is not None and est > work_cap:
-        raise CapExceeded(
-            f"estimated {est} enumeration leaves exceeds work cap {work_cap}",
-            estimate=est,
-            cap=work_cap,
-        )
+    if work_cap is not None:
+        _check_work([blocks], work_cap)
     weights = stirling2_row(free)
-    for (edges, eid_sets), (_, use_ie) in zip(blocks, costs):
-        if use_ie:
-            block = _ie_block_weights(edges, eid_sets, max_classes)
-        else:
-            block = _block_weights(edges, eid_sets, max_classes, workers)
+    for edges, eid_sets in blocks:
+        block = _ie_block_weights(edges, eid_sets, max_classes, workers)
         weights = _falling_product(weights, block, max_classes)
     return tuple(w if j <= max_classes else 0 for j, w in enumerate(weights))
 
@@ -537,17 +521,7 @@ def rho_max_search(
     if not graphs:
         raise ValueError("no graphs to search")
     if work_cap is not None and r >= comb(k, 2):
-        est = sum(
-            _block_cost(edges, qs, r, work_cap)[0]
-            for g in graphs
-            for edges, qs in _blocks(g, k)[1]
-        )
-        if est > work_cap:
-            raise CapExceeded(
-                f"estimated {est} enumeration leaves exceeds work cap {work_cap}",
-                estimate=est,
-                cap=work_cap,
-            )
+        _check_work((_blocks(g, k)[1] for g in graphs), work_cap)
     codes = [write_graph6(g) for g in graphs]
     if workers > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -386,7 +386,7 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
 
 
 def test_work_cap_counts_blocks(capsys):
-    # two K4s sharing a vertex: the blocks cost 2 * Bell(6) = 406 partitions
+    # two K4s sharing a vertex: the blocks cost 2 * 2 inclusion-exclusion leaves
     recs, _ = run_json(["count", "--graph", "F~CWw", "-r", "12", "--work-cap", "1000"], capsys)
     assert recs[0]["count"] == str(count_colorings(complete_graph(4), 12, 4) ** 2)
 

@@ -4,17 +4,15 @@ from math import comb
 import pytest
 
 from rtlab.counting import (
-    SPLIT_DEPTH,
-    _block_cost,
     _block_weights,
     _blocks,
     _clique_masks,
     _clique_set_graphs,
     _constraint_index,
+    _enumerate_weights,
     _ie_block_weights,
     _ie_estimate,
     _independent_partitions,
-    _weights_from_prefix,
     bounds_compare,
     brute_force_count,
     count_colorings,
@@ -156,14 +154,12 @@ def test_count_monotone_in_r(k4, k5):
 
 
 def test_count_workers_deterministic(k5):
-    # K5 now takes the inclusion-exclusion engine, so the prefix split is
-    # driven on its block directly
+    # worker processes take every workers-th of the block's 2^5 K4 sets
     (edges, qs), = _blocks(k5, 4)[1]
-    assert len(edges) > SPLIT_DEPTH
-    for top in (7, 10):
-        split = _block_weights(edges, qs, top, workers=2)
-        assert split == _block_weights(edges, qs, top, workers=1)
+    for top, workers in ((7, 2), (10, 3)):
+        split = _ie_block_weights(edges, qs, top, workers=workers)
         assert split == _ie_block_weights(edges, qs, top)
+        assert split == _block_weights(edges, qs, top)
     assert count_colorings(k5, 7, 4, workers=2) == count_colorings(k5, 7, 4)
 
 
@@ -211,7 +207,7 @@ def test_polynomial_unconstrained_is_stirling(classes5):
 def test_partition_enumeration_matches_stirling_without_shortcut():
     # run the raw enumerator with no constraints; it must count Stirling rows
     for m in (0, 1, 4, 7, 9):
-        weights = _weights_from_prefix(m, ((),) * m, (), m, ())
+        weights = _enumerate_weights(m, ((),) * m, (), m)
         row = stirling2_row(m)
         expect = [row[0] if m == 0 else 0] + list(row[1:])
         assert weights == expect
@@ -237,8 +233,8 @@ def test_polynomial_edge_cap():
     # K4-free: 21 free edges, nothing to enumerate, so the default cap passes
     poly = partition_polynomial(turan_graph(8, 3), 4)
     assert poly.coeffs == tuple(stirling2_row(21)[1:])
-    # K6 is one 15-edge block: Bell(15) partitions and the inclusion-exclusion
-    # bound over its 2^15 K4 sets both exceed the default work cap
+    # K6 is one 15-edge block: the inclusion-exclusion bound over its 2^15
+    # K4 sets exceeds the default work cap
     with pytest.raises(CapExceeded):
         partition_polynomial(complete_graph(6), 4)
 
@@ -274,7 +270,7 @@ def undecomposed_weights(g, k, max_classes=None):
     """The kernel run once over the whole edge set, free edges included."""
     m = g.edge_count
     top = m if max_classes is None else min(max_classes, m)
-    return tuple(_weights_from_prefix(m, *_constraint_index(g, k), top, ()))
+    return tuple(_enumerate_weights(m, *_constraint_index(g, k), top))
 
 
 def test_blocks_match_undecomposed_all_n5_classes():
@@ -343,8 +339,8 @@ def test_work_cap_sums_block_estimates():
         rho_max_search(7, 12, 4, graphs=[g], work_cap=2 * 2 - 1)
     assert exc.value.estimate == 2 * 2
     # T3(7) plus an edge inside its 3-vertex part: 4 K4s forming one 13-edge
-    # block next to 4 free edges.  At r=12 the partition bound is
-    # Bell(13) - 1; inclusion-exclusion's is far smaller and is the one used
+    # block next to 4 free edges.  At r=12 the reference enumeration's bound
+    # is Bell(13) - 1; the inclusion-exclusion estimate is far smaller
     t = turan_graph(7, 3)
     g = Graph(7, t.edges + ((0, 1),))
     assert count_cliques(g, 4) == 4
@@ -360,26 +356,23 @@ def test_work_cap_sums_block_estimates():
     assert exc.value.estimate == est
 
 
-def test_work_cap_on_a_partition_engine_host(k5):
-    # triangles of K5: Bell(10) = 115975 partition states undercut the
-    # inclusion-exclusion bound over its 2^10 triangle sets
-    (edges, qs), = _blocks(k5, 3)[1]
-    est = sum(stirling2_row(10))
-    assert est == 115975
-    assert _block_cost(edges, qs, 12) == (est, False)
-    want = count_colorings(k5, 12, 3)
-    assert count_colorings(k5, 12, 3, work_cap=est) == want
+def test_work_cap_on_a_triangle_host(k4):
+    # the 4 triangles of K4 form one 6-edge block; its 2^4 triangle sets
+    # bound 196 inclusion-exclusion leaves, just under Bell(6) = 203
+    est = 196
+    want = 23904  # no rainbow triangle in 12 colors; brute force agrees
+    assert count_colorings(k4, 12, 3, work_cap=est) == want
     with pytest.raises(CapExceeded) as exc:
-        count_colorings(k5, 12, 3, work_cap=est - 1)
+        count_colorings(k4, 12, 3, work_cap=est - 1)
     assert exc.value.estimate == est
-    assert rho_max_search(5, 12, 3, graphs=[k5], work_cap=est).best_count == want
+    assert rho_max_search(4, 12, 3, graphs=[k4], work_cap=est).best_count == want
     with pytest.raises(CapExceeded) as exc:
-        rho_max_search(5, 12, 3, graphs=[k5], work_cap=est - 1)
+        rho_max_search(4, 12, 3, graphs=[k4], work_cap=est - 1)
     assert exc.value.estimate == est
 
 
 # ---------------------------------------------------------------------------
-# the inclusion-exclusion engine against the partition engine
+# the inclusion-exclusion engine against the reference enumeration
 
 T3_6_E = "E}~o"  # T3(6) plus an edge inside a part: one 13-edge block
 T3_6_E_R12 = 42755607412992
@@ -394,7 +387,7 @@ def test_engines_agree_on_every_block_n5():
                     blocks += 1
                     for top in range(len(edges) + 1):
                         assert _ie_block_weights(edges, qs, top) == _block_weights(
-                            edges, qs, top, workers=1
+                            edges, qs, top
                         ), (write_graph6(g), k, top)
     assert blocks == 32
 
@@ -403,24 +396,19 @@ def test_ie_engine_pins_t3_6_plus_edge():
     g = parse_graph6(T3_6_E)
     free, blocks = _blocks(g, 4)
     assert free == 0 and [len(edges) for edges, _ in blocks] == [13]
-    (edges, qs), = blocks
-    assert _block_cost(edges, qs, 12)[1]
     assert count_colorings(g, 12, 4) == T3_6_E_R12
 
 
 def test_ie_estimate_bounds_its_leaves():
-    hosts = [g for n in range(6) for g in enumerate_graphs(n)] + [parse_graph6(T3_6_E)]
-    for g in hosts:
-        for k in (3, 4):
-            for edges, qs in _blocks(g, k)[1]:
-                if not _block_cost(edges, qs, len(edges))[1]:
-                    continue  # the bound is checked where the engine runs
-                masks = _clique_masks(edges, qs)
-                leaves = sum(
-                    sum(_independent_partitions(vertices, len(edges)))
-                    for _, _, vertices in _clique_set_graphs(masks)
-                )
-                assert _ie_estimate(masks, 10 ** 12) >= leaves >= 2 ** len(qs)
+    hosts = [(g, k) for n in range(6) for g in enumerate_graphs(n) for k in (3, 4)]
+    for g, k in hosts + [(parse_graph6(T3_6_E), 4)]:
+        for edges, qs in _blocks(g, k)[1]:
+            masks = _clique_masks(edges, qs)
+            leaves = sum(
+                sum(_independent_partitions(vertices, len(edges)))
+                for _, _, vertices in _clique_set_graphs(masks)
+            )
+            assert _ie_estimate(masks, 10 ** 12) >= leaves >= 2 ** len(qs)
 
 
 def test_ie_estimate_stops_past_its_bound():
