@@ -8,8 +8,8 @@ and must agree where they overlap:
   * materialized: explicit hyperedge rows for any lists, produced per K4 by
     one vectorised distinct-colour enumerator and bounded by a row cap
     (`--materialize-cap` on the command line);
-  * structural: closed-form co-degree case analysis, valid for complete
-    templates on complete hosts at any n.
+  * structural: closed-form co-degree case analysis, valid for templates
+    whose lists are all full, on any host, and on K_n at any n.
 
 Comparisons involving the container thresholds contain sqrt and cube-root
 terms; they are decided without floating point, either by integer
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .exactmath import (
     ln_interval,
     sqrt_interval,
 )
-from .graphs import k4_subgraphs
+from .graphs import k4_subgraphs, triangles
 from .templates import (
     Template,
     _k4_edge_ids,
@@ -103,21 +103,38 @@ def structural_average_degree(n: int, r: int) -> Fraction:
     return Fraction(ELL * structural_edge_count(n, r), nv)
 
 
-def structural_max_codegrees(n: int, r: int) -> tuple:
-    """Exact Delta_2..Delta_6 for the complete template on K_n.
+def _full_list_codegrees(m3: int, r: int) -> tuple:
+    """Exact Delta_2..Delta_6 when every list is full and m3 is the largest
+    number of K4s through one triangle of the host.
 
     A j-set of (edge, color) pairs with distinct edges and colors lies in
-    (n-3) hyperedges per containing K4 when the edges span 3 vertices and
-    in exactly one when they span 4; completions pick 6-j fresh colors.
+    no hyperedge unless its edges span 3 or 4 vertices.  It lies in one
+    hyperedge per choice of 6-j fresh colors on each K4 holding its edges:
+    the K4s through the triangle on its 3 vertices, at most m3 of them, or
+    the one K4 on its 4 vertices.  Two or three edges can span 3 vertices,
+    four or more cannot.
     """
-    if n < 4 or r < 6:
+    if m3 < 1 or r < 6:
         return (0, 0, 0, 0, 0)
     return (
-        (n - 3) * falling_factorial(r - 2, 4),
-        (n - 3) * falling_factorial(r - 3, 3),
+        m3 * falling_factorial(r - 2, 4),
+        m3 * falling_factorial(r - 3, 3),
         falling_factorial(r - 4, 2),
         r - 5,
         1,
+    )
+
+
+def structural_max_codegrees(n: int, r: int) -> tuple:
+    """Exact Delta_2..Delta_6 for the complete template on K_n, where n-3
+    K4s hold each triangle."""
+    return _full_list_codegrees(n - 3, r)
+
+
+def _most_k4s_on_a_triangle(g) -> int:
+    """m3: the largest number of K4s through one triangle of g (0 if none)."""
+    return max(
+        (bin(g.adj[a] & g.adj[b] & g.adj[c]).count("1") for a, b, c in triangles(g)), default=0
     )
 
 
@@ -310,7 +327,6 @@ def codegree(t: Template, pairs) -> int:
         raise ValueError("co-degree sets have 2..6 pairs")
     g, r = t.graph, t.r
     used = 0
-    eset = []
     for e, c in pairs:
         if not 0 <= e < g.edge_count:
             raise ValueError(f"edge id {e} out of range")
@@ -320,29 +336,17 @@ def codegree(t: Template, pairs) -> int:
         if used & used_bit:
             return 0  # repeated color
         used |= used_bit
-        eset.append(e)
-    if len(set(eset)) < q:
+    color_of = dict(pairs)
+    if len(color_of) < q:
         return 0  # repeated edge with different colors
-    eset = set(eset)
-    total = 0
+    if any(not t.masks[e] >> (c - 1) & 1 for e, c in pairs):
+        return 0  # a pair outside its edge's list
+    batch = []  # per K4 holding every pair's edge: the lists of its other edges
     for quad in k4_subgraphs(g):
         eids = _k4_edge_ids(g, quad)
-        if not eset <= set(eids):
-            continue
-        ok = True
-        rest = []
-        for e in eids:
-            m = t.masks[e]
-            match = [c for ee, c in pairs if ee == e]
-            if match:
-                if not m >> (match[0] - 1) & 1:
-                    ok = False
-                    break
-            else:
-                rest.append(m)
-        if ok:
-            total += count_distinct_choices(rest, forbidden=used)
-    return total
+        if color_of.keys() <= set(eids):
+            batch.append([t.masks[e] for e in eids if e not in color_of])
+    return sum(count_distinct_choices(batch, forbidden=used))
 
 
 def max_codegree(t: Template, j: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> int:
@@ -361,10 +365,11 @@ def build_rainbow_hypergraph(
 ):
     """Stats of the rainbow hypergraph, optionally with explicit rows.
 
-    Returns (stats, rows); rows is None unless materialize is set.  For a
-    non-complete template whose hyperedge count exceeds the cap, co-degrees
-    cannot be computed: stats_only returns them as None, otherwise the
-    call refuses.
+    Returns (stats, rows); rows is None unless materialize is set.
+    Co-degrees come from the closed form when every list is full, on any
+    host, else from the rows.  For a template with a list short of full
+    whose hyperedge count exceeds the cap, co-degrees cannot be computed:
+    stats_only returns them as None, otherwise the call refuses.
     """
     nv = t.graph.edge_count * t.r
     ne = count_rainbow_copies(t)
@@ -373,8 +378,8 @@ def build_rainbow_hypergraph(
     if materialize:
         rows = materialize_rows(t, cap)
         deltas = max_codegrees_from_rows(rows, nv)
-    elif is_complete_on_complete_host(t):
-        deltas = structural_max_codegrees(t.graph.n, t.r)
+    elif all(m == (1 << t.r) - 1 for m in t.masks):
+        deltas = _full_list_codegrees(_most_k4s_on_a_triangle(t.graph), t.r)
     elif ne <= cap:
         deltas = max_codegrees_from_rows(materialize_rows(t, cap), nv)
     elif stats_only:
@@ -533,22 +538,21 @@ def _ln_inverse_interval(x: tuple) -> tuple:
 
 
 def min_n_for_container(r: int) -> int:
-    """Least n at which both hypothesis conditions hold, by exact binary
-    search (the pass predicate is monotone in n)."""
+    """Least n at which both hypothesis conditions hold.  The tau condition
+    tau^6 < TAU_THRESHOLD^6 holds exactly for n > n_tau, the integer square
+    root of TAU_FACTOR^6 * TAU_RADICAND^3 / TAU_THRESHOLD^6, so the delta
+    condition (monotone in n) is checked at n_tau + 1 and searched above it,
+    by doubling and bisection, only if it fails there."""
     if r < 6:
         raise ValueError("r must be >= 6 (smaller r has an empty hypergraph)")
-
-    def passes(n):
-        _, tau_ok, delta_ok = hypothesis_flags(n, r)
-        return tau_ok and delta_ok
-
-    hi = 1
-    while not passes(hi):
-        hi *= 2
-    lo = hi // 2  # passes(lo) is False (or lo == 0)
+    bound = TAU_FACTOR ** 6 * TAU_RADICAND ** 3 / TAU_THRESHOLD ** 6
+    lo = isqrt(bound.numerator // bound.denominator)  # tau fails at every n <= lo
+    hi, step = lo + 1, 1
+    while not _delta_condition_holds(hi, r):
+        lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if passes(mid):
+        if _delta_condition_holds(mid, r):
             hi = mid
         else:
             lo = mid

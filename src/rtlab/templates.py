@@ -3,9 +3,11 @@
 A template assigns each edge a subset of the colors 1..r; an edge coloring
 is the all-singleton special case.  A rainbow copy of K4 is a choice of
 six (edge, color) pairs whose edges form a K4 and whose colors are
-pairwise distinct, each drawn from its edge's list.  Each K4's copies are
-counted once per template and kept on it, so whole-host counts, the
-per-triangle counts of cleaning and row materialization reuse them.
+pairwise distinct, each drawn from its edge's list.  One batched numpy
+kernel counts them: the first time a template is asked about any K4, it
+fills the template's table of copies on every host K4, and whole-host
+counts, the per-triangle counts of cleaning and row materialization read
+that table.
 
 Lists are stored as bitmasks (bit c-1 set means color c is allowed);
 user-facing colors are always the integers 1..r.
@@ -43,7 +45,7 @@ class Template:
         self.graph = graph
         self.r = r
         self.masks = masks
-        self._k4_copies = {}  # sorted K4 vertex tuple -> rainbow copies on it
+        self._k4_copies = None  # sorted K4 vertex tuple -> rainbow copies on it
 
     def list_of(self, edge_id: int) -> tuple:
         """Colors of one edge list, ascending, 1-based."""
@@ -141,28 +143,54 @@ def r_neighborhood(t: Template, v: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Counting distinct-color selections by Moebius inversion on the lattice of
-# set partitions of the lists: 2^q - 1 list intersections and Bell(q) terms
-# (203 for the six lists of a K4), whatever the number of colors.
+# set partitions of the lists: 2^q list intersections and Bell(q) terms
+# (203 for the six lists of a K4), whatever the number of colors.  One numpy
+# kernel takes a whole batch of rows, such as every K4 of a template.
 
-def count_distinct_choices(masks, forbidden: int = 0) -> int:
-    """Number of ways to pick pairwise-distinct colors c_i from masks[i]
-    (at most 6 masks), avoiding colors in `forbidden`: the sum over set
-    partitions pi of mu(0, pi) times, over the blocks B of pi, the product of
-    the number of allowed colors common to every list in B.  Empty mask list counts 1."""
-    q = len(masks)
+_CHUNK = 2048  # rows per pass of the Moebius sum: a few MB of int64 terms
+
+
+def count_distinct_choices(rows, forbidden: int = 0) -> list:
+    """For each row of at most 6 masks (every row of one call has the same
+    length), the number of ways to pick pairwise-distinct colors c_i from
+    masks[i], avoiding colors in `forbidden`: the sum over set partitions pi
+    of mu(0, pi) times, over the blocks B of pi, the number of allowed
+    colors common to every list in B.  An empty row counts 1.  Each term is
+    at most 64^6 * 5! < 2^44, so the int64 sums are exact."""
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.uint64)
+    if rows.size == 0 and rows.ndim == 1:
+        return []
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be a 2-D batch of masks, not shape {rows.shape}")
+    q = rows.shape[1]
     if q > 6:
         raise ValueError(f"at most 6 lists, got {q}")
-    inter = [~forbidden] * (1 << q)  # inter[S]: colors allowed on every list in S
-    for s in range(1, 1 << q):
-        low = s & -s
-        inter[s] = inter[s ^ low] & masks[low.bit_length() - 1]
-    size = [x.bit_count() for x in inter]
-    total = 0
-    for mu, blocks in SET_PARTITIONS[q]:
-        for b in blocks:
-            mu *= size[b]
-        total += mu
-    return total
+    parts = SET_PARTITIONS[q]
+    mu = np.array([m for m, _ in parts], dtype=np.int64)
+    # blocks[k][p]: k-th block of partition p, padded with a row of ones
+    ones = 1 << q
+    blocks = np.full((max(q, 1), len(parts)), ones, dtype=np.intp)
+    for p, (_, bs) in enumerate(parts):
+        blocks[: len(bs), p] = bs
+    allowed = np.uint64(~forbidden & (1 << 64) - 1)
+    cols = rows.T
+    out = []
+    for at in range(0, rows.shape[0], _CHUNK):
+        chunk = cols[:, at : at + _CHUNK]
+        inter = np.empty((ones, chunk.shape[1]), dtype=np.uint64)
+        inter[0] = allowed  # inter[S]: colors allowed on every list in S
+        for s in range(1, ones):
+            low = s & -s
+            np.bitwise_and(inter[s ^ low], chunk[low.bit_length() - 1], out=inter[s])
+        size = np.ones((ones + 1, chunk.shape[1]), dtype=np.int64)
+        size[:ones] = np.bitwise_count(inter)
+        terms = size[blocks[0]]
+        for b in blocks[1:]:
+            terms *= size[b]
+        out += (mu @ terms).tolist()
+    return out
 
 
 def _k4_edge_ids(g: Graph, quad) -> tuple:
@@ -170,20 +198,33 @@ def _k4_edge_ids(g: Graph, quad) -> tuple:
     return tuple(g.edge_id(u, v) for u, v in itertools.combinations(quad, 2))
 
 
-def k4_rainbow_copies(t: Template, quad) -> int:
-    """Rainbow copies on one host K4, counted the first time the K4 is asked
-    for and kept on the template, keyed by its sorted vertex tuple."""
-    quad = tuple(sorted(quad))
-    got = t._k4_copies.get(quad)
-    if got is None:
-        masks = [t.masks[e] for e in _k4_edge_ids(t.graph, quad)]
-        got = t._k4_copies[quad] = count_distinct_choices(masks)
-    return got
+def k4_rainbow_copies(t: Template) -> dict:
+    """Rainbow copies on every host K4, keyed by its sorted vertex tuple:
+    counted by one kernel call the first time any K4 is asked for, and kept
+    on the template."""
+    if t._k4_copies is None:
+        import numpy as np
+
+        g = t.graph
+        quads = k4_subgraphs(g)
+        rows = []
+        if quads:
+            eid = np.zeros((g.n, g.n), dtype=np.intp)
+            eid[tuple(np.array(g.edges).T)] = np.arange(g.edge_count)
+            masks = np.array(t.masks, dtype=np.uint64)
+            verts = np.array(quads, dtype=np.intp).T
+            # the six lists of each K4 in the order ab, ac, ad, bc, bd, cd
+            rows = np.stack(
+                [masks[eid[verts[a], verts[b]]] for a, b in itertools.combinations(range(4), 2)],
+                axis=1,
+            )
+        t._k4_copies = dict(zip(quads, count_distinct_choices(rows)))
+    return t._k4_copies
 
 
 def count_rainbow_copies(t: Template) -> int:
     """Exact number of rainbow K4 copies in the template."""
-    return sum(k4_rainbow_copies(t, quad) for quad in k4_subgraphs(t.graph))
+    return sum(k4_rainbow_copies(t).values())
 
 
 def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -> int:
@@ -199,12 +240,13 @@ def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -
         sub.has_edge(a, b) and sub.has_edge(a, c) and sub.has_edge(b, c)
     ):
         raise ValueError(f"{tri} is not a triangle of the subgraph")
+    copies = k4_rainbow_copies(t)
     total = 0
     ext = sub.adj[a] & sub.adj[b] & sub.adj[c]
     while ext:
         bit = ext & -ext
         ext ^= bit
-        total += k4_rainbow_copies(t, (a, b, c, bit.bit_length() - 1))
+        total += copies[tuple(sorted((a, b, c, bit.bit_length() - 1)))]
     return total
 
 

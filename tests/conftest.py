@@ -38,14 +38,14 @@ def classes6():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """List that grows by one on every call of the per-K4 kernel
-    `count_distinct_choices` made from rtlab.templates."""
+    """List of every row passed to the batched kernel
+    `count_distinct_choices` by rtlab.templates: one row per K4 counted."""
     calls = []
     kernel = templates.count_distinct_choices
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
+    def counted(rows, *args, **kwargs):
+        calls.extend(rows)
+        return kernel(rows, *args, **kwargs)
 
     monkeypatch.setattr(templates, "count_distinct_choices", counted)
     return calls

@@ -28,17 +28,20 @@ from rtlab.graphs import (
     complete_graph,
     count_cliques,
     enumerate_graphs,
+    k4_subgraphs,
     triangles,
 )
 from rtlab.templates import (
     Template,
+    _k4_edge_ids,
     complete_template,
     count_rainbow_copies,
     count_rainbow_copies_through_triangle,
     from_coloring,
+    k4_rainbow_copies,
     lift_template,
 )
-from test_templates import random_template
+from test_templates import random_template, scalar_distinct_choices
 
 XI = Fraction(1, 100)
 
@@ -602,3 +605,55 @@ def test_reused_template_answers_like_a_fresh_one():
                 assert count_rainbow_copies_through_triangle(
                     t, tri, sub=g
                 ) == count_rainbow_copies_through_triangle(fresh(), tri, sub=g)
+
+
+def _mixed_template(rng: random.Random, n: int, full_share=0.5, most=4, r=12) -> Template:
+    """Lists on K_n: about full_share of them full, the rest of 1 to `most`
+    colors."""
+    g = complete_graph(n)
+    full = (1 << r) - 1
+    masks = []
+    for _ in g.edges:
+        if rng.random() < full_share:
+            masks.append(full)
+        else:
+            masks.append(sum(1 << c for c in rng.sample(range(r), rng.randint(1, most))))
+    return Template(g, r, masks)
+
+
+def _oracle_table(t: Template) -> dict:
+    """Rainbow copies per host K4, counted afresh one K4 at a time."""
+    return {
+        quad: scalar_distinct_choices([t.masks[e] for e in _k4_edge_ids(t.graph, quad)])
+        for quad in k4_subgraphs(t.graph)
+    }
+
+
+def test_memo_reused_through_every_step_matches_the_oracle(kernel_calls):
+    t = _mixed_template(random.Random(0), 10)
+    cfg = cfg_for(t)
+    trace = clean(t, cfg)
+    assert [s.op for s in trace.steps] == [1] * 7 + [2]
+    oracle = _oracle_table(t)
+    for step in trace.steps:
+        critical_sets(t, alive=step.survivors)
+        assert k4_rainbow_copies(t) == oracle
+    assert verify_trace(t, cfg, trace)
+    assert k4_rainbow_copies(t) == oracle
+    assert len(kernel_calls) == len(oracle) == math.comb(10, 4)
+
+
+def test_critical_on_k20_matches_the_oracle():
+    t = _mixed_template(random.Random(20), 20, full_share=0.05, most=2)
+    cs = critical_sets(t)
+    g = state_graph(t, range(20))
+    oracle = _oracle_table(t)
+    want = []
+    for a, b, c in triangles(g):
+        ext = g.adj[a] & g.adj[b] & g.adj[c]
+        cnt = sum(oracle[tuple(sorted((a, b, c, d)))] for d in range(20) if ext >> d & 1)
+        if cnt ** 6 >= 20 ** 5:
+            want.append((a, b, c))
+    assert cs.triangles == tuple(want)
+    assert (len(triangles(g)), len(cs.triangles)) == (125, 97)
+    assert cs.edges == cs.vertices == ()

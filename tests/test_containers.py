@@ -20,6 +20,7 @@ from rtlab.containers import (
     container_constants,
     container_hypothesis_check,
     delta_tau,
+    hypothesis_flags,
     is_complete_on_complete_host,
     materialize_rows,
     max_codegree,
@@ -30,7 +31,7 @@ from rtlab.containers import (
 )
 from rtlab.errors import CapExceeded
 from rtlab.exactmath import falling_factorial
-from rtlab.graphs import Graph, complete_graph, turan_graph
+from rtlab.graphs import Graph, complete_graph, enumerate_graphs, turan_graph
 from rtlab.templates import Template, complete_template, count_rainbow_copies
 from test_templates import brute_rainbow_rows, random_template
 
@@ -441,6 +442,31 @@ def test_stats_only_flag():
     assert rows is None
 
 
+def test_full_list_codegrees_match_rows_on_every_small_host():
+    # the closed form for full lists on any host against the row counter
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for r in range(4, 9):
+                t = complete_template(g, r)
+                stats, rows = build_rainbow_hypergraph(t)
+                assert rows is None
+                base = g.edge_count * r
+                assert stats.max_codegrees == max_codegrees_from_rows(materialize_rows(t), base)
+
+
+def test_full_lists_on_any_host_need_no_rows():
+    # K7 minus an edge: 4 K4s through a triangle away from the missing edge;
+    # the closed form answers past a cap the rows could not meet
+    t = complete_template(Graph(7, [e for e in complete_graph(7).edges if e != (0, 1)]), 12)
+    stats, rows = build_rainbow_hypergraph(t, cap=10)
+    assert stats.edge_count > 10 and rows is None
+    assert stats.max_codegrees == (
+        4 * falling_factorial(10, 4), 4 * falling_factorial(9, 3), falling_factorial(8, 2), 7, 1
+    )
+    with pytest.raises(CapExceeded):
+        build_rainbow_hypergraph(t, materialize=True, cap=10)
+
+
 def test_is_complete_detector(k4):
     assert is_complete_on_complete_host(complete_template(k4, 6))
     assert not is_complete_on_complete_host(
@@ -542,6 +568,46 @@ def test_min_n_is_the_same_under_saxton_thomason_weights(monkeypatch):
     )
     assert delta_tau(stats, Fraction(1, 2)) < before  # the other weights are in use
     assert [min_n_for_container(r) for r in rs] == ours
+
+
+def doubling_min_n(r: int) -> int:
+    """Oracle: least n passing both conditions, by doubling from n = 1 and
+    bisecting, with both conditions evaluated at every probe."""
+
+    def passes(n):
+        _, tau_ok, delta_ok = hypothesis_flags(n, r)
+        return tau_ok and delta_ok
+
+    hi = 1
+    while not passes(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_min_n_matches_the_doubling_search():
+    for r in (6, 7, 12, 64, 1000):
+        n_min = min_n_for_container(r)
+        assert n_min == doubling_min_n(r)
+        assert hypothesis_flags(n_min, r)[1:] == (True, True)
+
+
+def test_min_n_searches_delta_above_the_tau_bound(monkeypatch):
+    # The functional over its bound tends to DELTA_LEAD / 2^18 from above as
+    # n grows, so a lead just under 16 times the default makes delta fail
+    # where tau first holds and hold further up.
+    tau_bound = min_n_for_container(12)  # n_tau + 1: delta holds there by default
+    monkeypatch.setattr(containers, "DELTA_LEAD", 2 ** 14 / (Fraction(1, 16) + Fraction(1, 10 ** 9)))
+    n_min = min_n_for_container(12)
+    assert n_min > tau_bound
+    assert not hypothesis_flags(tau_bound, 12)[2]
+    assert n_min == doubling_min_n(12)
 
 
 def test_min_n_requires_six_colors():

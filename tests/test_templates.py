@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtlab import templates
 from rtlab.containers import materialize_rows
 from rtlab.errors import UnsupportedSizeError
 from rtlab.exactmath import SET_PARTITIONS, falling_factorial, stirling2_row
@@ -162,6 +163,23 @@ def brute_distinct_choices(masks, forbidden: int) -> int:
     return sum(len(set(sel)) == len(sel) for sel in itertools.product(*lists))
 
 
+def scalar_distinct_choices(masks, forbidden: int = 0) -> int:
+    """Oracle: the Moebius sum over set partitions for one row, in Python
+    integers, one list intersection and one partition at a time."""
+    q = len(masks)
+    inter = [~forbidden] * (1 << q)  # inter[S]: colors allowed on every list in S
+    for s in range(1, 1 << q):
+        low = s & -s
+        inter[s] = inter[s ^ low] & masks[low.bit_length() - 1]
+    size = [x.bit_count() for x in inter]
+    total = 0
+    for mu, blocks in SET_PARTITIONS[q]:
+        for b in blocks:
+            mu *= size[b]
+        total += mu
+    return total
+
+
 def test_distinct_choices_match_brute_force():
     rng = random.Random(2024)
     for q in range(7):
@@ -170,16 +188,62 @@ def test_distinct_choices_match_brute_force():
             masks = [sum(1 << c for c in rng.sample(range(8), k)) for k in sizes]
             forbidden = rng.choice((0, rng.getrandbits(8)))
             expected = brute_distinct_choices(masks, forbidden)
-            assert count_distinct_choices(masks, forbidden) == expected
-    assert count_distinct_choices([0b111, 0, 0b1]) == 0  # an empty list
-    assert count_distinct_choices([0b111, 0b111], forbidden=0b010) == 2
-    assert count_distinct_choices([], forbidden=0b1) == 1
+            assert count_distinct_choices([masks], forbidden) == [expected]
+    assert count_distinct_choices([[0b111, 0, 0b1]]) == [0]  # an empty list
+    assert count_distinct_choices([[0b111, 0b111]], forbidden=0b010) == [2]
+    assert count_distinct_choices([[]], forbidden=0b1) == [1]
 
 
 def test_distinct_choices_identical_lists():
     for q in range(7):
-        for s in range(9):
-            assert count_distinct_choices([(1 << s) - 1] * q) == falling_factorial(s, q)
+        rows = [[(1 << s) - 1] * q for s in range(9)]
+        assert count_distinct_choices(rows) == [falling_factorial(s, q) for s in range(9)]
+
+
+def _random_mask(rng: random.Random, r: int) -> int:
+    """Empty, full or random lists of colors 1..r."""
+    kind = rng.randrange(4)
+    return (0, (1 << r) - 1)[kind] if kind < 2 else rng.getrandbits(r)
+
+
+def test_kernel_matches_scalar_oracle_seeded():
+    rng = random.Random(64)
+    for q in range(7):
+        for r in (1, 6, 12, 63, 64):
+            forbidden = rng.choice((0, rng.getrandbits(r), 1 << (r - 1)))
+            rows = [[_random_mask(rng, r) for _ in range(q)] for _ in range(30)]
+            want = [scalar_distinct_choices(row, forbidden) for row in rows]
+            assert count_distinct_choices(rows, forbidden) == want
+    # more rows than one chunk of the Moebius sum, all 64 colors in play
+    rows = [[_random_mask(rng, 64) for _ in range(6)] for _ in range(2 * templates._CHUNK + 37)]
+    rows[-1] = [(1 << 64) - 1] * 6
+    got = count_distinct_choices(rows)
+    assert got == [scalar_distinct_choices(row) for row in rows]
+    assert got[-1] == falling_factorial(64, 6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda q: st.lists(
+            st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=q, max_size=q),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_kernel_matches_scalar_oracle(rows, forbidden):
+    want = [scalar_distinct_choices(row, forbidden) for row in rows]
+    assert count_distinct_choices(rows, forbidden) == want
+
+
+def test_kernel_batch_shapes():
+    assert count_distinct_choices([]) == []
+    with pytest.raises(ValueError):
+        count_distinct_choices([[1, 2], [1]])  # rows of different lengths
+    with pytest.raises(ValueError):
+        count_distinct_choices([1, 2])  # one row, not a batch
 
 
 def test_partition_table_counts_stirling_numbers():
@@ -189,7 +253,7 @@ def test_partition_table_counts_stirling_numbers():
             by_blocks[len(blocks)] += 1
         assert by_blocks == stirling2_row(q)
     with pytest.raises(ValueError):
-        count_distinct_choices([1] * 7)
+        count_distinct_choices([[1] * 7])
 
 
 def test_enumeration_matches_count_and_is_valid():
