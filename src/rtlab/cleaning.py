@@ -19,7 +19,6 @@ stay indexed by host EdgeId throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -128,9 +127,7 @@ def operation2_step(t: Template, cfg: CleaningConfig, alive=None):
     p2 = cfg.xi.numerator ** 2
     q2 = cfg.xi.denominator ** 2
     n_orig = cfg.original_n
-    for u, v, w in itertools.combinations(alive, 3):
-        if not (g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)):
-            continue
+    for u, v, w in triangles(g):
         sizes = sorted(
             (
                 t.list_size(t.graph.edge_id(u, v)),

@@ -127,14 +127,14 @@ def _parse_fraction(text: str) -> Fraction:
 # payload builders (top level so worker processes can import them)
 
 def _payload_count(args):
-    code, r, k, workers, work_cap = args
+    code, r, k, work_cap = args
     g = parse_graph6(code)
     return {
         "op": "count",
         "graph": code,
         "r": r,
         "k": k,
-        "count": str(count_colorings(g, r, k, workers=workers, work_cap=work_cap)),
+        "count": str(count_colorings(g, r, k, work_cap=work_cap)),
     }
 
 
@@ -191,9 +191,7 @@ def _payload_container_stats(args):
         "vertex_count": stats.vertex_count,
         "edge_count": str(stats.edge_count),
         "average_degree": _rat(stats.average_degree),
-        "max_codegrees": [str(d) for d in stats.max_codegrees]
-        if stats.max_codegrees is not None
-        else None,
+        "max_codegrees": [str(d) for d in stats.max_codegrees],
         "materialized": bool(materialize),
     }
 
@@ -357,10 +355,7 @@ def _graph_items(args) -> list:
 
 def _cmd_count(args, cache):
     codes = _graph_items(args)
-    items = [
-        (code, args.r, args.k, 1 if args.input else args.workers, args.work_cap)
-        for code in codes
-    ]
+    items = [(code, args.r, args.k, args.work_cap) for code in codes]
     fps = [{"graph": c, "r": args.r, "k": args.k} for c in codes]
     return _run_batch("count", items, fps, _payload_count, cache, args.workers)
 

@@ -33,8 +33,7 @@ prod_i (1 + earlier vertices not adjacent to vertex i) leaves; the sum of
 those products over all S is the block's leaf estimate, and work caps
 are checked against the sum of the blocks' estimates (free edges cost
 nothing).  That sum stops at the first block that takes it past the cap
-and is not formed when 2^q cliques already pass it.  Worker processes
-split a block's clique sets.
+and is not formed when 2^q cliques already pass it.
 
 The reference enumeration the tests compare against walks the block's
 set partitions as restricted growth strings, at most Bell(m_b) states
@@ -50,8 +49,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-
-import numpy as np
 
 from .errors import CapExceeded, UnsupportedSizeError
 from .exactmath import falling_factorial, stirling2_row
@@ -209,12 +206,12 @@ def _clique_masks(edges, eid_sets) -> list:
     return masks
 
 
-def _clique_set_graphs(masks, start: int = 0, step: int = 1):
-    """Per set S of cliques (bitmask over `masks`, every step-th from
-    start): (|S| odd, covered-edge mask, H_S as (vertex bit, mask of the
-    vertex and its neighbours) pairs in placement order); two edges are
-    adjacent when a clique of S holds both."""
-    for s in range(start, 1 << len(masks), step):
+def _clique_set_graphs(masks):
+    """Per set S of cliques (bitmask over `masks`): (|S| odd, covered-edge
+    mask, H_S as (vertex bit, mask of the vertex and its neighbours) pairs
+    in placement order); two edges are adjacent when a clique of S holds
+    both."""
+    for s in range(1 << len(masks)):
         adj = {}
         cover = 0
         for q, cm in enumerate(masks):
@@ -281,11 +278,13 @@ def _independent_partitions(vertices, top: int) -> list:
     return weights
 
 
-def _ie_weights(m: int, masks, top: int, start: int = 0, step: int = 1) -> list:
-    """sum_S (-1)^|S| S(uncovered, .) (x) P(H_S) over the clique sets S
-    that _clique_set_graphs(masks, start, step) yields."""
+def _ie_block_weights(edges, eid_sets, max_classes: int) -> list:
+    """Partition weights of one block by inclusion-exclusion over its
+    clique sets: sum_S (-1)^|S| S(uncovered, .) (x) P(H_S)."""
+    m = len(edges)
+    top = min(max_classes, m)
     totals = [0] * (m + 1)
-    for odd, cover, vertices in _clique_set_graphs(masks, start, step):
+    for odd, cover, vertices in _clique_set_graphs(_clique_masks(edges, eid_sets)):
         term = _falling_product(
             stirling2_row(m - cover.bit_count()),
             _independent_partitions(vertices, top),
@@ -293,31 +292,6 @@ def _ie_weights(m: int, masks, top: int, start: int = 0, step: int = 1) -> list:
         )
         for j, x in enumerate(term):
             totals[j] += -x if odd else x
-    return totals
-
-
-def _ie_task(args):
-    return _ie_weights(*args)
-
-
-def _ie_block_weights(edges, eid_sets, max_classes: int, workers: int = 1) -> list:
-    """Partition weights of one block by inclusion-exclusion over its
-    clique sets, each of `workers` processes taking every workers-th set."""
-    m = len(edges)
-    masks = _clique_masks(edges, eid_sets)
-    top = min(max_classes, m)
-    if workers <= 1:
-        return _ie_weights(m, masks, top)
-    totals = [0] * (m + 1)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-        tasks = [(m, masks, top, i, workers) for i in range(workers)]
-        for w in pool.map(_ie_task, tasks):
-            for j, x in enumerate(w):
-                totals[j] += x
     return totals
 
 
@@ -341,7 +315,6 @@ def partition_weights(
     g: Graph,
     k: int = 4,
     max_classes: int = None,
-    workers: int = 1,
     work_cap: int = None,
 ) -> tuple:
     """weights[j] = number of edge-set partitions into exactly j classes in
@@ -360,21 +333,12 @@ def partition_weights(
         _check_work([blocks], work_cap)
     weights = stirling2_row(free)
     for edges, eid_sets in blocks:
-        block = _ie_block_weights(edges, eid_sets, max_classes, workers)
+        block = _ie_block_weights(edges, eid_sets, max_classes)
         weights = _falling_product(weights, block, max_classes)
     return tuple(w if j <= max_classes else 0 for j, w in enumerate(weights))
 
 
-def estimate_partition_work(m: int, max_classes: int) -> int:
-    """Upper bound on enumerated partitions: partitions of m items into at
-    most max_classes classes."""
-    row = stirling2_row(m)
-    return sum(row[j] for j in range(min(max_classes, m) + 1))
-
-
-def count_colorings(
-    g: Graph, r: int, k: int = 4, workers: int = 1, work_cap: int = None
-) -> int:
+def count_colorings(g: Graph, r: int, k: int = 4, work_cap: int = None) -> int:
     """Number of r-edge-colorings of g with no rainbow k-clique, exact.
 
     If r < C(k,2), no coloring can be rainbow and the answer is r^e(g)
@@ -389,9 +353,7 @@ def count_colorings(
     m = g.edge_count
     if r < comb(k, 2):
         return r ** m
-    weights = partition_weights(
-        g, k, max_classes=min(r, m), workers=workers, work_cap=work_cap
-    )
+    weights = partition_weights(g, k, max_classes=min(r, m), work_cap=work_cap)
     return sum(w * falling_factorial(r, j) for j, w in enumerate(weights) if w)
 
 
@@ -415,15 +377,17 @@ class PartitionPolynomial:
 
 
 def partition_polynomial(
-    g: Graph, k: int = 4, workers: int = 1, work_cap: int = DEFAULT_WORK_CAP
+    g: Graph, k: int = 4, work_cap: int = DEFAULT_WORK_CAP
 ) -> PartitionPolynomial:
-    weights = partition_weights(g, k, workers=workers, work_cap=work_cap)
+    weights = partition_weights(g, k, work_cap=work_cap)
     return PartitionPolynomial(g, k, tuple(weights[1:]))
 
 
 def brute_force_count(g: Graph, r: int, k: int = 4, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Ground-truth oracle: enumerate all r^e(g) colorings and apply a
     direct rainbow test to each (vectorized in fixed-size chunks)."""
+    import numpy as np
+
     if r < 1:
         raise ValueError("r must be >= 1")
     if k < 3:

@@ -517,3 +517,31 @@ def test_cli_import_starts_no_process_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_single_count_runs_in_one_process():
+    # --workers parallelizes batch items only; one graph is counted in the
+    # calling process, so no pool machinery is even imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys; from rtlab import cli; "
+        "rc = cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')), file=sys.stderr); "
+        "sys.exit(rc)"
+    )
+    outs = []
+    for workers in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "count", "--graph", "D~{", "-r", "12",
+             "--workers", workers, "--no-cache"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["count"] == str(count_colorings(complete_graph(5), 12))

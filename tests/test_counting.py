@@ -16,7 +16,6 @@ from rtlab.counting import (
     bounds_compare,
     brute_force_count,
     count_colorings,
-    estimate_partition_work,
     partition_polynomial,
     partition_weights,
     rho_max_search,
@@ -153,14 +152,11 @@ def test_count_monotone_in_r(k4, k5):
             prev = cur
 
 
-def test_count_workers_deterministic(k5):
-    # worker processes take every workers-th of the block's 2^5 K4 sets
+def test_ie_block_weights_match_reference_on_k5(k5):
+    # inclusion-exclusion over the block's 2^5 K4 sets
     (edges, qs), = _blocks(k5, 4)[1]
-    for top, workers in ((7, 2), (10, 3)):
-        split = _ie_block_weights(edges, qs, top, workers=workers)
-        assert split == _ie_block_weights(edges, qs, top)
-        assert split == _block_weights(edges, qs, top)
-    assert count_colorings(k5, 7, 4, workers=2) == count_colorings(k5, 7, 4)
+    for top in (7, 10):
+        assert _ie_block_weights(edges, qs, top) == _block_weights(edges, qs, top)
 
 
 def test_count_work_cap(k5):
@@ -246,11 +242,6 @@ def test_partition_weights_max_classes_truncation(k4):
     assert all(w == 0 for w in trunc[4:])
 
 
-def test_estimate_partition_work():
-    assert estimate_partition_work(6, 6) == sum(stirling2_row(6))
-    assert estimate_partition_work(6, 2) == sum(stirling2_row(6)[:3])
-
-
 def test_constraint_index_orders_by_participation(k5):
     edge_cliques, sizes = _constraint_index(k5, 4)
     assert len(sizes) == 5 and all(s == 6 for s in sizes)
@@ -312,8 +303,6 @@ def test_two_block_host():
     for k, tops in ((4, (0, 1, 2, 3)), (3, (0, 1, 3, 5, 8, 12))):
         for top in tops:
             assert partition_weights(g, k, max_classes=top) == undecomposed_weights(g, k, top)
-    assert partition_weights(g, 4, workers=2) == partition_weights(g, 4)
-    assert count_colorings(g, 12, 4, workers=2) == K4_R12 ** 2
     poly = partition_polynomial(g, 4)
     assert poly.evaluate(0) == 0
     for r in range(1, 15):
@@ -344,7 +333,7 @@ def test_work_cap_sums_block_estimates():
     t = turan_graph(7, 3)
     g = Graph(7, t.edges + ((0, 1),))
     assert count_cliques(g, 4) == 4
-    assert estimate_partition_work(13, 12) == 27644436 == sum(stirling2_row(13)) - 1
+    assert sum(stirling2_row(13)) - 1 == 27644436
     est = 972221
     assert count_colorings(g, 12, 4, work_cap=est) == 886580275315802112 == T3_6_E_R12 * 12 ** 4
     with pytest.raises(CapExceeded) as exc:
