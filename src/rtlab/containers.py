@@ -12,10 +12,11 @@ and must agree where they overlap:
     whose lists are all full, on any host, and on K_n at any n.
 
 Comparisons involving the container thresholds contain sqrt and cube-root
-terms; they are decided without floating point, either by integer
-cross-powering (the tau condition is cleared of radicals by raising both
-sides to the sixth power) or by certified rational intervals refined until
-the two sides separate.
+terms; they are decided without floating point.  The tau condition, cleared
+of radicals by raising both sides to the sixth power, is the integer bound
+n > N_TAU; the delta condition evaluates the co-degree functional at the
+ends of a certified rational interval for tau, refined until the two sides
+separate.
 """
 
 from __future__ import annotations
@@ -31,22 +32,14 @@ from .errors import CapExceeded
 from .exactmath import (
     cbrt_interval,
     falling_factorial,
-    iv_add,
     iv_div,
     iv_exact,
-    iv_le,
     iv_mul,
-    iv_pow,
     ln_interval,
     sqrt_interval,
 )
-from .graphs import k4_subgraphs, triangles
-from .templates import (
-    Template,
-    _k4_edge_ids,
-    count_distinct_choices,
-    count_rainbow_copies,
-)
+from .graphs import clique_edge_ids, triangles
+from .templates import Template, count_distinct_choices, count_rainbow_copies
 
 ELL = 6
 # weights of the co-degree functional at uniformity 6: leading 2^14 with
@@ -70,6 +63,10 @@ C_ELL_BOUND = 1000 * ELL * factorial(ELL) ** 3  # reported constant c(ell)
 # tau = TAU_SCALE_SQ^(1/2) * 2^9 * n^(-1/3): keep the radicand exact
 TAU_RADICAND = 12 * factorial(ELL)  # 8640
 TAU_FACTOR = 2 ** 9
+# tau^6 = TAU_FACTOR^6 TAU_RADICAND^3 / n^2 < TAU_THRESHOLD^6 exactly when
+# n > N_TAU (TAU_THRESHOLD has numerator 1)
+N_TAU = isqrt(TAU_FACTOR ** 6 * TAU_RADICAND ** 3 * TAU_THRESHOLD.denominator ** 6)
+INTERVAL_DIGITS = 40  # first precision of the certified intervals
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 7
 
@@ -208,8 +205,7 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
     dtype = np.uint16 if t.graph.edge_count * r <= 0xFFFF else np.int64
     out = np.empty((total, 6), dtype=dtype)
     at = 0
-    for quad in k4_subgraphs(t.graph):
-        eids = _k4_edge_ids(t.graph, quad)
+    for eids in clique_edge_ids(t.graph, 4):
         sel = _selection_rows([t.masks[e] for e in eids])
         block = out[at : at + len(sel)]
         np.add(sel, np.array([e * r for e in eids], dtype=dtype), out=block)
@@ -342,8 +338,7 @@ def codegree(t: Template, pairs) -> int:
     if any(not t.masks[e] >> (c - 1) & 1 for e, c in pairs):
         return 0  # a pair outside its edge's list
     batch = []  # per K4 holding every pair's edge: the lists of its other edges
-    for quad in k4_subgraphs(g):
-        eids = _k4_edge_ids(g, quad)
+    for eids in clique_edge_ids(g, 4):
         if color_of.keys() <= set(eids):
             batch.append([t.masks[e] for e in eids if e not in color_of])
     return sum(count_distinct_choices(batch, forbidden=used))
@@ -435,6 +430,8 @@ class ContainerConstants:
 def container_constants(n: int, r: int) -> ContainerConstants:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if r < 3:
+        raise ValueError("epsilon needs r >= 3")
     eps3 = Fraction(1, n * ((r - 1) * (r - 2)) ** 3)
     tau6 = Fraction(TAU_FACTOR ** 6 * TAU_RADICAND ** 3, n ** 2)
     return ContainerConstants(n, r, eps3, tau6)
@@ -451,52 +448,49 @@ class HypothesisReport:
     details: dict
 
 
-def _delta_condition_holds(n: int, r: int, digits: int = 40) -> bool:
+def _delta_condition_holds(n: int, r: int) -> bool:
     """Delta(H, tau) <= epsilon / (12 * 6!) for the complete template on
-    K_n, with structural co-degrees; decided by certified intervals."""
+    K_n, with structural co-degrees.  The functional falls as tau grows, so
+    it is evaluated at both ends of tau's certified interval and compared
+    with the ends of epsilon's, refining until the two sides separate."""
     deltas = structural_max_codegrees(n, r)
     if all(d == 0 for d in deltas):
         return True  # empty hypergraph: the functional is identically zero
-    davg = structural_average_degree(n, r)
+    stats = RainbowHypergraphStats(
+        comb(n, 2) * r, structural_edge_count(n, r), structural_average_degree(n, r), deltas
+    )
     cc = container_constants(n, r)
-    d = digits
+    d = INTERVAL_DIGITS
     while d <= 1400:
-        tau = cc.tau_interval(d)
-        lhs = iv_exact(0)
-        for i, (w, dd) in enumerate(zip(DELTA_WEIGHTS, deltas)):
-            term = iv_div(iv_exact(DELTA_LEAD * w * dd / davg), iv_pow(tau, i + 1))
-            lhs = iv_add(lhs, term)
-        rhs = iv_div(cc.epsilon_interval(d), iv_exact(DELTA_BOUND_DENOM))
-        verdict = iv_le(lhs, rhs)
-        if verdict is not None:
-            return verdict
+        tau_lo, tau_hi = cc.tau_interval(d)
+        eps_lo, eps_hi = cc.epsilon_interval(d)
+        if delta_tau(stats, tau_lo) <= eps_lo / DELTA_BOUND_DENOM:
+            return True
+        if delta_tau(stats, tau_hi) > eps_hi / DELTA_BOUND_DENOM:
+            return False
         d *= 2
     raise RuntimeError(f"delta condition undecided at n={n}, r={r}")
 
 
-def hypothesis_flags(n: int, r: int, digits: int = 40) -> tuple:
-    """(vacuous, tau_ok, delta_ok) without any report plumbing.  The tau
-    condition is a pure integer comparison and is checked first."""
-    cc = container_constants(n, r)
-    vacuous = r < 6 or n < 4  # no rainbow copies, empty hypergraph
-    tau_ok = cc.tau_sixth < TAU_THRESHOLD ** 6
-    if vacuous:
-        return vacuous, tau_ok, True
-    return vacuous, tau_ok, _delta_condition_holds(n, r, digits)
-
-
-def container_hypothesis_check(n: int, r: int, digits: int = 40) -> HypothesisReport:
-    """Evaluate both container hypothesis conditions for the complete
-    template on K_n: tau below its threshold (decided by sixth powers) and
-    the co-degree functional below epsilon / (12 * 6!)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+def hypothesis_flags(n: int, r: int) -> tuple:
+    """(vacuous, tau_ok, delta_ok) without any report plumbing."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    vacuous = r < 6 or n < 4  # no rainbow copies, empty hypergraph
+    tau_ok = n > N_TAU
+    if vacuous:
+        return vacuous, tau_ok, True
+    return vacuous, tau_ok, _delta_condition_holds(n, r)
+
+
+def container_hypothesis_check(n: int, r: int) -> HypothesisReport:
+    """Evaluate both container hypothesis conditions for the complete
+    template on K_n: tau below its threshold (n > N_TAU) and the co-degree
+    functional below epsilon / (12 * 6!)."""
     cc = container_constants(n, r)
-    vacuous, tau_ok, delta_ok = hypothesis_flags(n, r, digits)
-    eps = cc.epsilon_interval(digits)
-    tau = cc.tau_interval(digits)
+    vacuous, tau_ok, delta_ok = hypothesis_flags(n, r)
+    eps = cc.epsilon_interval(INTERVAL_DIGITS)
+    tau = cc.tau_interval(INTERVAL_DIGITS)
     details = {
         "ell": ELL,
         "epsilon_cubed": cc.epsilon_cubed,
@@ -539,14 +533,12 @@ def _ln_inverse_interval(x: tuple) -> tuple:
 
 def min_n_for_container(r: int) -> int:
     """Least n at which both hypothesis conditions hold.  The tau condition
-    tau^6 < TAU_THRESHOLD^6 holds exactly for n > n_tau, the integer square
-    root of TAU_FACTOR^6 * TAU_RADICAND^3 / TAU_THRESHOLD^6, so the delta
-    condition (monotone in n) is checked at n_tau + 1 and searched above it,
-    by doubling and bisection, only if it fails there."""
+    holds exactly for n > N_TAU, so the delta condition (monotone in n) is
+    checked at N_TAU + 1 and searched above it, by doubling and bisection,
+    only if it fails there."""
     if r < 6:
         raise ValueError("r must be >= 6 (smaller r has an empty hypergraph)")
-    bound = TAU_FACTOR ** 6 * TAU_RADICAND ** 3 / TAU_THRESHOLD ** 6
-    lo = isqrt(bound.numerator // bound.denominator)  # tau fails at every n <= lo
+    lo = N_TAU  # tau fails at every n <= lo
     hi, step = lo + 1, 1
     while not _delta_condition_holds(hi, r):
         lo, hi, step = hi, hi + step, 2 * step

@@ -54,7 +54,7 @@ from .errors import CapExceeded, UnsupportedSizeError
 from .exactmath import falling_factorial, stirling2_row
 from .graphs import (
     Graph,
-    cliques,
+    clique_edge_ids,
     enumerate_graphs,
     extremal_number,
     parse_graph6,
@@ -63,14 +63,6 @@ from .graphs import (
 
 DEFAULT_ORACLE_CAP = 10 ** 9
 DEFAULT_WORK_CAP = 10 ** 8  # inclusion-exclusion leaves; refuses K6 and K6-e
-
-
-def _clique_edge_sets(g: Graph, k: int) -> list:
-    """The edge ids of every k-clique, one tuple per clique."""
-    return [
-        tuple(g.edge_id(u, v) for u, v in itertools.combinations(q, 2))
-        for q in cliques(g, k)
-    ]
 
 
 def _placement_index(edges, eid_sets):
@@ -97,14 +89,14 @@ def _placement_index(edges, eid_sets):
 def _constraint_index(g: Graph, k: int):
     """Placement index of the whole edge set, free edges included: the
     undecomposed input that the tests' reference enumeration runs on."""
-    return _placement_index(range(g.edge_count), _clique_edge_sets(g, k))
+    return _placement_index(range(g.edge_count), clique_edge_ids(g, k))
 
 
 def _blocks(g: Graph, k: int):
     """(free, blocks): the number of edges in no k-clique, and one
     (sorted edge ids, clique edge-id tuples) pair per class of edges linked
     by shared k-cliques, in order of each class's first clique."""
-    eid_sets = _clique_edge_sets(g, k)
+    eid_sets = clique_edge_ids(g, k)
     root = list(range(g.edge_count))
 
     def find(e: int) -> int:
@@ -400,7 +392,7 @@ def brute_force_count(g: Graph, r: int, k: int = 4, cap: int = DEFAULT_ORACLE_CA
         )
     if m == 0:
         return 1
-    eid_sets = _clique_edge_sets(g, k)
+    eid_sets = clique_edge_ids(g, k)
     ck2 = comb(k, 2)
     pairs = list(itertools.combinations(range(ck2), 2))
     powers = np.array([r ** i for i in range(m)], dtype=np.int64)

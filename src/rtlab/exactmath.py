@@ -112,10 +112,6 @@ def iv_exact(x) -> tuple:
     return f, f
 
 
-def iv_add(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], a[1] + b[1]
-
-
 def iv_mul(a: tuple, b: tuple) -> tuple:
     if a[0] < 0 or b[0] < 0:
         raise ValueError("iv_mul expects nonnegative intervals")
@@ -126,20 +122,6 @@ def iv_div(a: tuple, b: tuple) -> tuple:
     if a[0] < 0 or b[0] <= 0:
         raise ValueError("iv_div expects nonnegative / strictly positive")
     return a[0] / b[1], a[1] / b[0]
-
-
-def iv_pow(a: tuple, k: int) -> tuple:
-    if a[0] < 0:
-        raise ValueError("iv_pow expects a nonnegative interval")
-    return a[0] ** k, a[1] ** k
-
-
-def iv_le(a: tuple, b: tuple):
-    if a[1] <= b[0]:
-        return True
-    if a[0] > b[1]:
-        return False
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,14 @@ def k4_subgraphs(g: Graph) -> list:
     return g._k4_cache
 
 
+def clique_edge_ids(g: Graph, k: int) -> list:
+    """The edge ids of every k-clique, one tuple per clique in the order of
+    `cliques`, each in the order ab, ac, ..., of its sorted vertices."""
+    return [
+        tuple(g.edge_id(u, v) for u, v in itertools.combinations(q, 2)) for q in cliques(g, k)
+    ]
+
+
 @dataclass(frozen=True)
 class ClosenessResult:
     internal_edges: int

@@ -193,11 +193,6 @@ def count_distinct_choices(rows, forbidden: int = 0) -> list:
     return out
 
 
-def _k4_edge_ids(g: Graph, quad) -> tuple:
-    """Edge ids of a K4 in the order ab, ac, ad, bc, bd, cd."""
-    return tuple(g.edge_id(u, v) for u, v in itertools.combinations(quad, 2))
-
-
 def k4_rainbow_copies(t: Template) -> dict:
     """Rainbow copies on every host K4, keyed by its sorted vertex tuple:
     counted by one kernel call the first time any K4 is asked for, and kept

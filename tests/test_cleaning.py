@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -33,7 +34,6 @@ from rtlab.graphs import (
 )
 from rtlab.templates import (
     Template,
-    _k4_edge_ids,
     complete_template,
     count_rainbow_copies,
     count_rainbow_copies_through_triangle,
@@ -623,9 +623,12 @@ def _mixed_template(rng: random.Random, n: int, full_share=0.5, most=4, r=12) ->
 
 def _oracle_table(t: Template) -> dict:
     """Rainbow copies per host K4, counted afresh one K4 at a time."""
+    g = t.graph
     return {
-        quad: scalar_distinct_choices([t.masks[e] for e in _k4_edge_ids(t.graph, quad)])
-        for quad in k4_subgraphs(t.graph)
+        quad: scalar_distinct_choices(
+            [t.masks[g.edge_id(u, v)] for u, v in itertools.combinations(quad, 2)]
+        )
+        for quad in k4_subgraphs(g)
     }
 
 

@@ -12,6 +12,7 @@ from rtlab import containers
 from rtlab.containers import (
     C_ELL_BOUND,
     DELTA_BOUND_DENOM,
+    N_TAU,
     TAU_THRESHOLD,
     RainbowHypergraphStats,
     build_rainbow_hypergraph,
@@ -26,6 +27,7 @@ from rtlab.containers import (
     max_codegree,
     max_codegrees_from_rows,
     min_n_for_container,
+    structural_average_degree,
     structural_codegree,
     structural_max_codegrees,
 )
@@ -33,6 +35,7 @@ from rtlab.errors import CapExceeded
 from rtlab.exactmath import falling_factorial
 from rtlab.graphs import Graph, complete_graph, enumerate_graphs, turan_graph
 from rtlab.templates import Template, complete_template, count_rainbow_copies
+from test_acceptance import MIN_N_CONTAINER_R12
 from test_templates import brute_rainbow_rows, random_template
 
 # ---------------------------------------------------------------------------
@@ -608,6 +611,73 @@ def test_min_n_searches_delta_above_the_tau_bound(monkeypatch):
     assert n_min > tau_bound
     assert not hypothesis_flags(tau_bound, 12)[2]
     assert n_min == doubling_min_n(12)
+
+
+def interval_delta_holds(n: int, r: int) -> bool:
+    """Oracle: the delta condition by a hand-rolled interval sum, term by
+    term over (lo, hi) pairs, refined until the two sides separate."""
+    deltas = structural_max_codegrees(n, r)
+    if all(d == 0 for d in deltas):
+        return True
+    davg = structural_average_degree(n, r)
+    cc = container_constants(n, r)
+    d = 40
+    while d <= 1400:
+        tau = cc.tau_interval(d)
+        lhs = (Fraction(0), Fraction(0))
+        for i, (w, dd) in enumerate(zip(containers.DELTA_WEIGHTS, deltas)):
+            c = containers.DELTA_LEAD * w * dd / davg
+            lhs = (lhs[0] + c / tau[1] ** (i + 1), lhs[1] + c / tau[0] ** (i + 1))
+        eps = cc.epsilon_interval(d)
+        rhs = (eps[0] / DELTA_BOUND_DENOM, eps[1] / DELTA_BOUND_DENOM)
+        if lhs[1] <= rhs[0]:
+            return True
+        if lhs[0] > rhs[1]:
+            return False
+        d *= 2
+    raise AssertionError("interval sum undecided")
+
+
+DELTA_ORACLE_GRID = [(n, r) for r in (6, 7, 12, 64, 1000) for n in (N_TAU + 1, N_TAU + 2, 10 * N_TAU)]
+
+
+def test_delta_condition_matches_the_interval_sum():
+    for n, r in DELTA_ORACLE_GRID:
+        assert containers._delta_condition_holds(n, r) == interval_delta_holds(n, r), (n, r)
+
+
+def test_delta_condition_matches_the_interval_sum_where_delta_binds(monkeypatch):
+    monkeypatch.setattr(containers, "DELTA_LEAD", 2 ** 14 / (Fraction(1, 16) + Fraction(1, 10 ** 9)))
+    verdicts = set()
+    for n, r in DELTA_ORACLE_GRID:
+        verdict = containers._delta_condition_holds(n, r)
+        assert verdict == interval_delta_holds(n, r), (n, r)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_tau_condition_is_the_integer_bound():
+    assert N_TAU + 1 == MIN_N_CONTAINER_R12
+    for r in (3, 6, 12, 64, 1000):
+        assert not hypothesis_flags(N_TAU, r)[1]
+        assert hypothesis_flags(N_TAU + 1, r)[1]
+    # the sixth powers the bound was cleared from
+    assert container_constants(N_TAU, 12).tau_sixth >= TAU_THRESHOLD ** 6
+    assert container_constants(N_TAU + 1, 12).tau_sixth < TAU_THRESHOLD ** 6
+
+
+def test_fewer_than_three_colors():
+    # epsilon has (r-1)(r-2) in its denominator; the flags never need it
+    for r in (0, 1, 2):
+        with pytest.raises(ValueError):
+            container_constants(10, r)
+        with pytest.raises(ValueError):
+            container_hypothesis_check(10, r)
+        assert hypothesis_flags(10, r) == (True, False, True)
+        assert hypothesis_flags(N_TAU + 1, r) == (True, True, True)
+    for check in (hypothesis_flags, container_hypothesis_check):
+        with pytest.raises(ValueError):
+            check(0, 12)
 
 
 def test_min_n_requires_six_colors():

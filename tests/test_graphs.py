@@ -10,6 +10,7 @@ from rtlab.errors import Graph6ParseError, UnsupportedSizeError
 from rtlab.graphs import (
     Graph,
     all_pairs,
+    clique_edge_ids,
     cliques,
     closeness_to_kpartite,
     complete_graph,
@@ -111,6 +112,15 @@ def test_cliques_listing_consistent(classes5):
             assert len(set(lst)) == len(lst)
             for sub in lst:
                 assert all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2))
+
+
+def test_clique_edge_ids_follow_the_clique_listing(classes5):
+    for g in classes5:
+        for k in (3, 4, 5):
+            ids = clique_edge_ids(g, k)
+            assert len(ids) == len(cliques(g, k))
+            for q, eids in zip(cliques(g, k), ids):
+                assert [g.edges[e] for e in eids] == list(itertools.combinations(q, 2))
 
 
 def test_count_cliques_k_above_n():
