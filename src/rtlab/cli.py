@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import io
 import json
 import os
@@ -287,6 +287,8 @@ def _emit(records, fmt: str):
         return
     if not records:
         return
+    import csv  # its only user; the import costs about 2 ms per call
+
     keys = sorted({k for rec in records for k in rec})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -329,13 +331,22 @@ def _run_batch(op: str, items, fp_params, build, cache, workers: int):
             todo[fp] = item
     if todo:
         tasks = list(todo.values())
-        if workers > 1 and len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        results = []
+        try:
+            if workers > 1 and len(tasks) > 1:
+                from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(build, tasks))
-        else:
-            results = [build(t) for t in tasks]
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    results.extend(pool.map(build, tasks))
+            else:
+                results.extend(map(build, tasks))
+        except BaseException:
+            # store what finished before the failing item, then report the
+            # failure itself rather than an error of the store
+            if cache and results:
+                with contextlib.suppress(OSError):
+                    cache.store(op, list(zip(todo, results)), __version__)
+            raise
         payloads.update(zip(todo, results))
         if cache:
             cache.store(op, list(zip(todo, results)), __version__)

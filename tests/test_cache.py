@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rtlab import cache as cache_module
 from rtlab import cli
 from rtlab.cache import ResultCache, fingerprint
 
@@ -68,9 +69,19 @@ def _seeded_lines(rng: random.Random) -> tuple:
         payload = rng.choice([{"count": str(rng.getrandbits(40))}, {"n": rng.randint(0, 9)}, None])
         rec = _record(fp, payload)
         kind = rng.choice(["canonical"] * 4 + ["spaced", "reordered", "padded", "trailing",
-                                              "blank", "garbage", "torn", "no-payload"])
+                                              "blank", "garbage", "torn", "no-payload",
+                                              "other-key-in-payload", "escaped-key"])
         if kind == "canonical":
             lines.append(_canonical(rec))
+        elif kind == "other-key-in-payload":
+            # the payload holds another fingerprint, also in the key's own layout
+            other = rng.choice(fps)
+            rec["payload"] = rng.choice([{"fingerprint": other}, {"note": other}, other])
+            lines.append(_canonical(rec))
+        elif kind == "escaped-key":
+            cut = rng.randint(1, 32)
+            escaped = "".join("\\u%04x" % ord(c) for c in fp[:cut]) + fp[cut:]
+            lines.append(_canonical(rec).replace(fp, escaped, 1))
         elif kind == "spaced":
             lines.append(json.dumps(rec, sort_keys=True))
         elif kind == "reordered":
@@ -151,6 +162,21 @@ def test_torn_newest_line_serves_the_previous_record(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_store_after_a_torn_last_line_starts_a_new_line(tmp_path):
+    fp = "c" * 32
+    good = _canonical(_record(fp, {"count": "1"}))
+    path = tmp_path / "c.jsonl"
+    path.write_text(good + "\n" + good[:-7])  # a writer died mid-line
+    cache = ResultCache(str(path))
+    assert cache.lookup(fp) == {"count": "1"}
+    cache.store("count", [(fp, {"count": "2"})], "0.1.0")
+    cache.store("count", [("d" * 32, {"count": "3"})], "0.1.0")
+    assert oracle_index(path) == ({fp: {"count": "2"}, "d" * 32: {"count": "3"}}, 1)
+    assert path.read_text().count("\n\n") == 0
+    for reader in (cache, ResultCache(str(path))):
+        assert reader.lookup(fp) == {"count": "2"}
+
+
 def test_invalid_utf8_line_is_corrupt_not_fatal(tmp_path, capsys):
     # the full-parse loop decoded the whole file and failed on any bad byte
     good = _canonical(_record("b" * 32, {"count": "2"}))
@@ -165,7 +191,8 @@ def test_missing_file_is_empty_and_store_creates_it(tmp_path, capsys):
     path = tmp_path / "sub" / "c.jsonl"
     cache = ResultCache(str(path))
     assert cache.lookup("0" * 32) is None
-    assert cache._index == {}
+    assert cache.lookup("short-key") is None
+    assert not path.parent.exists()  # looking up creates nothing
     cache.store("count", [("0" * 32, {"count": "3"})], "0.1.0")
     assert cache.lookup("0" * 32) == {"count": "3"}
     assert oracle_index(path) == ({"0" * 32: {"count": "3"}}, 0)
@@ -188,12 +215,17 @@ def test_store_after_load_is_seen_and_readable_by_the_oracle(tmp_path):
     assert expected["short-key"] == {"i": 4}
 
 
-def test_index_stays_unloaded_until_the_first_read(tmp_path):
+def test_index_stays_unloaded_until_the_first_read(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(cache_module, "open",
+                        lambda path, mode="r", **kw: opened.append(mode) or open(path, mode, **kw),
+                        raising=False)
     cache = ResultCache(str(tmp_path / "c.jsonl"))
     cache.store("count", [("a" * 32, {})], "0.1.0")
-    assert cache._index is None
+    assert opened == ["ab"]  # storing reads nothing
     assert cache.lookup("a" * 32) == {}
-    assert cache._index is not None
+    assert cache.lookup("b" * 32) is None
+    assert opened == ["ab", "rb"]  # the first lookup reads the file, once
 
 
 # Lines as the previous release's `store` wrote them.

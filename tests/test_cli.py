@@ -299,6 +299,20 @@ def test_batch_duplicates_computed_and_stored_once(workers, isolated_cache, tmp_
     assert built == ([] if workers == "2" else ["C~", "Bw"])
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_refused_batch_item_keeps_the_finished_results(workers, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "f.jsonl")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\nE~~w\n"))  # E~~w: over the work cap
+    code, out, err = run_cli(["count", "--input", "-", "-r", "12", "--workers", workers,
+                              "--cache", path], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "cap-exceeded"
+    single = run_cli(["count", "--graph", "C~", "-r", "12", "--no-cache"], capsys)[1]
+    code, out, err = run_cli(["count", "--graph", "C~", "-r", "12", "--cache", path], capsys)
+    assert (code, out) == (0, single)
+    assert err.startswith("# cache hit ")
+
+
 def test_batch_reads_the_cache_file_once(tmp_path, capsys, monkeypatch):
     codes = [write_graph6(g) for g in enumerate_graphs(4)]
     stream = tmp_path / "classes.g6"
@@ -501,13 +515,14 @@ def test_console_script_subprocess(tmp_path):
 
 
 def test_cli_import_starts_no_process_machinery():
-    # the process pool is imported only where --workers > 1 starts one
+    # the process pool is imported only where --workers > 1 starts one, and
+    # csv only where --format csv writes
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, rtlab.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'csv')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
