@@ -192,8 +192,10 @@ def _selection_rows(masks) -> np.ndarray:
 
 
 def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndarray:
-    """Explicit hyperedges as sorted rows of six hypergraph-vertex ids,
-    id = edge_id * r + (color - 1), K4 by K4 in lexicographic vertex order."""
+    """Explicit hyperedges as rows of six hypergraph-vertex ids,
+    id = edge_id * r + (color - 1), K4 by K4 in lexicographic vertex order.
+    A K4's edge ids ab, ac, ..., cd of its sorted vertices ascend and every
+    colour is below r, so each row is increasing as written."""
     total = count_rainbow_copies(t)
     if total > cap:
         raise CapExceeded(
@@ -209,7 +211,6 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
         sel = _selection_rows([t.masks[e] for e in eids])
         block = out[at : at + len(sel)]
         np.add(sel, np.array([e * r for e in eids], dtype=dtype), out=block)
-        block.sort(axis=1)
         at += len(sel)
     return out
 
@@ -225,7 +226,7 @@ def _subrow_keys(cols, combo, base: int, buf: np.ndarray) -> list:
     words = []
     for at in range(0, len(combo), per):
         w = np.empty_like(buf) if words else buf
-        np.copyto(w, cols[combo[at]])
+        np.copyto(w, cols[combo[at]], casting="safe")
         for c in combo[at + 1 : at + per]:
             w *= base
             w += cols[c]
@@ -233,10 +234,9 @@ def _subrow_keys(cols, combo, base: int, buf: np.ndarray) -> list:
     return words
 
 
-def _key_counts(words, weights=None):
-    """(distinct keys as word arrays, summed weight of each key); without
-    weights the sums are the keys' multiplicities, and a one-word key array
-    is sorted in place."""
+def _sorted_runs(words, weights=None):
+    """(keys, weights) in key order, and the positions where a run of equal
+    keys starts; a one-word key array without weights is sorted in place."""
     if len(words) == 1 and weights is None:
         words[0].sort()
     else:
@@ -248,56 +248,76 @@ def _key_counts(words, weights=None):
     new[0] = True
     for w in words:
         new[1:] |= w[1:] != w[:-1]
-    starts = np.flatnonzero(new)
+    return words, weights, np.flatnonzero(new)
+
+
+def _key_counts(words, weights=None):
+    """(distinct keys as word arrays, summed weight of each key); without
+    weights the sums are the keys' multiplicities."""
+    words, weights, starts = _sorted_runs(words, weights)
     if weights is None:
-        sums = np.diff(starts, append=len(new))
+        sums = np.diff(starts, append=len(words[0]))
     else:
         sums = np.add.reduceat(weights, starts)
     return [w[starts] for w in words], sums
+
+
+def _largest_multiplicity(words) -> int:
+    """Largest multiplicity of any key.  The run starts are differenced in
+    place into run lengths, and the distinct keys are never gathered."""
+    words, _, starts = _sorted_runs(words)
+    last = len(words[0]) - starts[-1]
+    np.subtract(starts[1:], starts[:-1], out=starts[:-1])
+    starts[-1] = last
+    return int(starts.max())
 
 
 def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
     """Delta_2..Delta_6 by direct subset counting over explicit rows.
 
     `rows` holds one hyperedge per row as six increasing ids below `base`,
-    id = edge_id * r + (color - 1), as `materialize_rows` writes them.  Every
-    j-subset of a row sits at some sorted column combination and is keyed
-    positionally in base `base`, as an int32 while base**j fits one, since
-    those sort about twice as fast.  For j <= 3 a j-set may sit at different
-    columns in different rows, so each combination's keys are sorted and
-    counted and the counts of all C(6, j) combinations are merged once.  For
-    j >= 4 that cannot happen in rows laid out as above, one K4's six
-    distinct edges per row: four or more distinct edges do not fit on three
-    vertices, so they span the four vertices of exactly one K4, every row
-    holding the j-set is a copy on that K4, and sorted ids order its six
-    edges by edge id.  The j-set therefore sits at the same columns in every
-    row that holds it, and Delta_j is the largest key multiplicity of any
-    one combination, with no merge across combinations.  Rows outside that
-    layout (say, two colours of one edge in a row) pass the input checks but
-    may get Delta_4..Delta_6 undercounted."""
+    id = edge_id * r + (color - 1), as `materialize_rows` writes them.  The
+    columns are copied once, in the narrowest dtype that holds the largest
+    id.  Every j-subset of a row sits at some sorted column combination and
+    is keyed positionally in base `base`, as an int32 while base**j fits
+    one, since those sort about twice as fast.  For j <= 3 a j-set may sit
+    at different columns in different rows, so each combination's keys are
+    sorted and counted and the counts of all C(6, j) combinations are
+    merged once.  For j >= 4 that cannot happen in rows laid out as above,
+    one K4's six distinct edges per row: four or more distinct edges do not
+    fit on three vertices, so they span the four vertices of exactly one
+    K4, every row holding the j-set is a copy on that K4, and sorted ids
+    order its six edges by edge id.  The j-set therefore sits at the same
+    columns in every row that holds it, and Delta_j is the largest key
+    multiplicity of any one combination, with no merge across combinations.
+    Rows outside that layout (say, two colours of one edge in a row) pass
+    the input checks but may get Delta_4..Delta_6 undercounted."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != 6 or not np.issubdtype(rows.dtype, np.integer):
         raise ValueError(f"rows must be integers of shape (m, 6), not {rows.dtype} {rows.shape}")
     m = len(rows)
     if m == 0:
         return (0, 0, 0, 0, 0)
-    if rows.min() < 0 or base <= rows.max():
-        raise ValueError(f"ids {rows.min()}..{rows.max()} do not lie in 0..{base - 1}")
+    top = int(rows.max())
+    if rows.min() < 0 or base <= top or top >= 2 ** 63:
+        raise ValueError(f"ids {rows.min()}..{top} do not lie in 0..{min(base, 2 ** 63) - 1}")
     if (rows[:, 1:] <= rows[:, :-1]).any():
         raise ValueError("every row must hold six increasing ids")
     base = int(base)
+    # uint64 would not copy safely into int64 keys; ids past uint16 need those
+    narrow = np.min_scalar_type(top) if top < 2 ** 32 else np.int64
+    cols = np.ascontiguousarray(rows.T, dtype=narrow)
     buf = None
     out = []
     for j in range(2, 7):
         dtype = np.int32 if base ** j < 2 ** 31 else np.int64
         if buf is None or buf.dtype != dtype:
-            cols = buf = None  # one copy of the columns at a time
-            cols = [rows[:, i].astype(dtype) for i in range(6)]
+            buf = None  # one key buffer at a time
             buf = np.empty(m, dtype=dtype)
         # each key is used up before the next one is written over the buffer
         keys = (_subrow_keys(cols, combo, base, buf) for combo in itertools.combinations(range(6), j))
         if j >= 4:
-            out.append(max(int(_key_counts(k)[1].max()) for k in keys))
+            out.append(max(_largest_multiplicity(k) for k in keys))
         else:
             parts = [_key_counts(k) for k in keys]
             merged = [np.concatenate(w) for w in zip(*(p[0] for p in parts))]
@@ -307,9 +327,13 @@ def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
 
 def codegree_from_rows(rows: np.ndarray, vids) -> int:
     """Number of explicit rows containing every given hypergraph vertex;
-    each id is tested only on the rows that hold all the ids before it."""
+    each id is tested column by column, only on the rows that hold all the
+    ids before it."""
     for v in vids:
-        rows = rows[(rows == v).any(axis=1)]
+        hit = rows[:, 0] == v
+        for i in range(1, rows.shape[1]):
+            hit |= rows[:, i] == v
+        rows = rows[hit]
     return len(rows)
 
 

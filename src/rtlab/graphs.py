@@ -82,16 +82,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, all_pairs(n))
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def turan_graph(n: int, parts: int) -> Graph:
     """Complete multipartite graph on n vertices with `parts` classes as
     equal as possible; vertices are assigned to classes in contiguous
@@ -274,11 +264,6 @@ def _closeness_local_search(g: Graph, k: int, restarts: int = 8) -> ClosenessRes
         if best_cost is None or cost < best_cost:
             best_cost, best_assign = cost, tuple(assign)
     return ClosenessResult(best_cost, best_assign, False)
-
-
-def internal_edge_count(g: Graph, partition) -> int:
-    """Edges whose endpoints share a class under the given assignment."""
-    return sum(1 for u, v in g.edges if partition[u] == partition[v])
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,12 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs n >= 3")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def brute_force_is_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.edge_count != b.edge_count:
         return False

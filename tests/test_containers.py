@@ -33,8 +33,13 @@ from rtlab.containers import (
 )
 from rtlab.errors import CapExceeded
 from rtlab.exactmath import falling_factorial
-from rtlab.graphs import Graph, complete_graph, enumerate_graphs, turan_graph
-from rtlab.templates import Template, complete_template, count_rainbow_copies
+from rtlab.graphs import Graph, clique_edge_ids, complete_graph, enumerate_graphs, turan_graph
+from rtlab.templates import (
+    Template,
+    complete_template,
+    count_distinct_choices,
+    count_rainbow_copies,
+)
 from test_acceptance import MIN_N_CONTAINER_R12
 from test_templates import brute_rainbow_rows, random_template
 
@@ -299,6 +304,13 @@ def test_row_codegrees_match_the_merge_oracle():
         wide = base * 10 ** 4
         assert wide ** 2 >= 2 ** 31 and wide ** 4 >= 2 ** 63
         assert max_codegrees_from_rows(rows, wide) == want
+        if len(rows) > 50000:
+            continue  # keys of one int64 word per digit sort slowly
+        # the columns take the width of the ids, not of the base: uint16
+        # columns under one int64 word per digit, then uint32 and int64 ones
+        assert max_codegrees_from_rows(rows, 2 ** 33) == want
+        for shift in (2 ** 16, 2 ** 32):
+            assert max_codegrees_from_rows(rows.astype(np.int64) + shift, base + shift) == want
     assert nonempty >= 8
     for dtype in (np.uint16, np.int64):
         assert max_codegrees_from_rows(np.empty((0, 6), dtype=dtype), 36) == (0, 0, 0, 0, 0)
@@ -345,6 +357,8 @@ def test_row_codegrees_validate_their_input():
                 rows.astype(np.int64) - 1):
         with pytest.raises(ValueError):
             max_codegrees_from_rows(bad, 36)
+    with pytest.raises(ValueError):  # ids past int64
+        max_codegrees_from_rows(rows.astype(np.uint64) + np.uint64(2 ** 63), 2 ** 64)
 
 
 def test_row_codegrees_memory_follows_the_row_count():
@@ -365,6 +379,23 @@ def test_row_codegrees_memory_follows_the_row_count():
         tracemalloc.stop()
     assert got == (5040, 504, 56, 7, 1)
     assert peak < 150 * 2 ** 20
+
+
+def test_row_codegrees_work_in_the_width_of_the_ids():
+    # the rows of the test above: one copy of the columns in uint16 and one
+    # int64 key buffer, about 31 bytes per row in all
+    g = Graph(44, [(i, i + 1) for i in range(40)]
+              + list(itertools.combinations(range(40, 44), 2)))
+    rows = materialize_rows(complete_template(g, 12))
+    assert len(rows) == 665280
+    tracemalloc.start()
+    try:
+        got = max_codegrees_from_rows(rows, g.edge_count * 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (5040, 504, 56, 7, 1)
+    assert peak < 32 * 2 ** 20
 
 
 def test_max_codegree_structural_path(k6):
@@ -420,6 +451,39 @@ def test_materialize_rows_match_product_oracle():
     assert any(v % 64 == 63 for row in want for v in row)
     assert sorted(map(tuple, materialize_rows(t).tolist())) == want
     assert len(want) == count_rainbow_copies(t)
+
+
+def _row_order_template(rng: random.Random) -> Template:
+    """A host on 5-7 vertices, each edge present with probability 0.8,
+    relabelled by a random permutation, with lists of random colours out of
+    r = 6..8: one in five full, one in ten empty."""
+    n, r = rng.randint(5, 7), rng.randint(6, 8)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph(n, [(perm[u], perm[v]) for u, v in itertools.combinations(range(n), 2)
+                  if rng.random() < 0.8])
+    full = (1 << r) - 1
+    masks = [rng.choice((full, full, 0)) if rng.random() < 0.3
+             else rng.getrandbits(r) | rng.getrandbits(r) for _ in range(g.edge_count)]
+    return Template(g, r, masks)
+
+
+def test_materialized_rows_increase_k4_by_k4():
+    # rows are not sorted after the fact: each must come out increasing, the
+    # copies of each K4 together, K4s in clique_edge_ids order
+    rng = random.Random(0x0DE7)
+    nonempty = 0
+    for _ in range(40):
+        t = _row_order_template(rng)
+        rows = materialize_rows(t)
+        eids = clique_edge_ids(t.graph, 4)
+        sizes = count_distinct_choices([[t.masks[e] for e in q] for q in eids])
+        nonempty += len(rows) > 0
+        assert len(rows) == sum(sizes)
+        assert (rows[:, 1:] > rows[:, :-1]).all()
+        want = np.repeat(np.array(eids, dtype=np.int64).reshape(-1, 6), sizes, axis=0)
+        assert np.array_equal(rows // t.r, want)
+    assert nonempty >= 20
 
 
 def test_materialization_cap():

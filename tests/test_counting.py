@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from conftest import cycle_graph
 from rtlab.counting import (
     _block_weights,
     _blocks,
@@ -26,16 +27,18 @@ from rtlab.graphs import (
     Graph,
     complete_graph,
     count_cliques,
-    cycle_graph,
     enumerate_graphs,
     parse_graph6,
-    path_graph,
     turan_graph,
     write_graph6,
 )
 
 # ---------------------------------------------------------------------------
 # the oracle itself, plus a second pure-python oracle for tiny cases
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def pure_python_count(g, r, k=4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_is_isomorphic
+from conftest import brute_force_is_isomorphic, cycle_graph
 from rtlab.errors import Graph6ParseError, UnsupportedSizeError
 from rtlab.graphs import (
     Graph,
@@ -15,10 +15,8 @@ from rtlab.graphs import (
     closeness_to_kpartite,
     complete_graph,
     count_cliques,
-    cycle_graph,
     enumerate_graphs,
     extremal_number,
-    internal_edge_count,
     graph6_codes,
     parse_graph6,
     turan_graph,
@@ -129,6 +127,11 @@ def test_count_cliques_k_above_n():
 
 # ---------------------------------------------------------------------------
 # closeness to k-partite
+
+
+def internal_edge_count(g, partition):
+    """Edges whose endpoints share a class under the given assignment."""
+    return sum(1 for u, v in g.edges if partition[u] == partition[v])
 
 
 def _closeness_brute(g, k):
