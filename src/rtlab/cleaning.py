@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .exactmath import EULER_HI, EULER_LO, cmp_value_rpow
 from .graphs import Graph, triangles
@@ -175,24 +175,6 @@ class CleaningTrace:
     stop_reason: str
 
 
-def _next_action(t: Template, cfg: CleaningConfig, alive):
-    n_i = len(alive)
-    p2 = cfg.xi.numerator ** 2
-    q2 = cfg.xi.denominator ** 2
-    if n_i * q2 <= p2 * cfg.original_n:
-        return "stop", None, "size <= xi^2 n"
-    for op in cfg.priority:
-        if op == 1:
-            v, wit = operation1_step(t, cfg, alive)
-            if v is not None:
-                return 1, ((v,), wit), None
-        else:
-            tri, wit = operation2_step(t, cfg, alive)
-            if tri is not None:
-                return 2, (tri, wit), None
-    return "stop", None, "no operation applicable"
-
-
 def clean(t: Template, cfg: CleaningConfig) -> CleaningTrace:
     """Apply the configured operation priority until the vertex count falls
     to xi^2 * n or nothing fires.  The trace replays bit-exactly."""
@@ -200,34 +182,44 @@ def clean(t: Template, cfg: CleaningConfig) -> CleaningTrace:
         raise ValueError("config r does not match the template")
     if cfg.original_n != t.graph.n:
         raise ValueError("config original_n does not match the host")
+    p2 = cfg.xi.numerator ** 2
+    q2 = cfg.xi.denominator ** 2
     alive = list(range(t.graph.n))
     steps = []
-    while True:
-        op, payload, reason = _next_action(t, cfg, alive)
-        if op == "stop":
-            return CleaningTrace(
-                r=cfg.r,
-                xi=cfg.xi,
-                original_n=cfg.original_n,
-                priority=cfg.priority,
-                steps=tuple(steps),
-                final_vertices=tuple(alive),
-                stop_reason=reason,
-            )
-        removed, wit = payload
-        dead = set(removed)
+    while len(alive) * q2 > p2 * cfg.original_n:
+        for op in cfg.priority:
+            # looked up by name on every call, so rebinding the module's
+            # operation functions (as a tracer does) takes effect here
+            found, wit = (operation1_step if op == 1 else operation2_step)(t, cfg, alive)
+            if found is not None:
+                break
+        else:
+            reason = "no operation applicable"
+            break
+        removed = (found,) if op == 1 else found
         n_before = len(alive)
-        alive = [x for x in alive if x not in dead]
+        alive = [x for x in alive if x not in removed]
         steps.append(
             CleanStep(
                 op=op,
-                removed=tuple(removed),
+                removed=removed,
                 n_before=n_before,
                 n_after=len(alive),
                 witness=wit,
                 survivors=tuple(alive),
             )
         )
+    else:
+        reason = "size <= xi^2 n"
+    return CleaningTrace(
+        r=cfg.r,
+        xi=cfg.xi,
+        original_n=cfg.original_n,
+        priority=cfg.priority,
+        steps=tuple(steps),
+        final_vertices=tuple(alive),
+        stop_reason=reason,
+    )
 
 
 def verify_trace(t: Template, cfg: CleaningConfig, trace: CleaningTrace) -> bool:
@@ -305,6 +297,8 @@ def supersaturation_interval(n: int, t_close: int, k: int, edge_count: int) -> t
     """Certified enclosure of n^(k-1)/(e^(2k) k!) (e(G) + t - (1-1/k) n^2/2)."""
     if n < 1 or t_close < 1 or k < 1:
         raise ValueError("n, t, k must be >= 1")
+    if not 0 <= edge_count <= comb(n, 2):
+        raise ValueError(f"edge count must lie in 0..C(n,2) = {comb(n, 2)}")
     bracket = Fraction(edge_count + t_close) - Fraction((k - 1) * n * n, 2 * k)
     lead = Fraction(n ** (k - 1), factorial(k))
     lo_e = EULER_LO ** (2 * k)

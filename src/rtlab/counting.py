@@ -22,26 +22,20 @@ K_k-free host is the case of no blocks.  Coefficient j of a product needs
 only input coefficients <= j, so capping every factor at max_classes
 classes is exact.
 
-Each block is counted by inclusion-exclusion over the sets S of its
-cliques: the partitions making every clique of S rainbow number
-S(uncovered, .) (x) P(H_S), where the edges S leaves uncovered are free
-and P(H_S)[j] counts the partitions of the covered edges into j
-independent sets of H_S, the graph joining two edges when a clique of S
-holds both.  Then weights = sum_S (-1)^|S| S(uncovered, .) (x) P(H_S).
-P(H_S) is enumerated by restricted growth with at most
+A block is its clique bitmasks: its m_b edges take positions 0..m_b-1 in
+order of decreasing k-clique participation, then edge id, and each clique
+is the mask of its edges' positions.  It is counted by inclusion-exclusion
+over the sets S of its cliques: the partitions making every clique of S
+rainbow number S(uncovered, .) (x) P(H_S), where the edges S leaves
+uncovered are free and P(H_S)[j] counts the partitions of the covered
+edges into j independent sets of H_S, the graph joining two edges when a
+clique of S holds both.  Then weights = sum_S (-1)^|S| S(uncovered, .) (x)
+P(H_S).  P(H_S) is enumerated by restricted growth with at most
 prod_i (1 + earlier vertices not adjacent to vertex i) leaves; the sum of
 those products over all S is the block's leaf estimate, and work caps
 are checked against the sum of the blocks' estimates (free edges cost
 nothing).  That sum stops at the first block that takes it past the cap
 and is not formed when 2^q cliques already pass it.
-
-The reference enumeration the tests compare against walks the block's
-set partitions as restricted growth strings, at most Bell(m_b) states
-for its m_b edges; a branch dies as soon as some k-clique has all C(k,2)
-edges placed into C(k,2) distinct classes.  Once two edges of a clique
-share a class the clique can never become rainbow, so its tracking is
-switched off for the whole subtree.  Edges are placed in order of
-decreasing k-clique participation so that constraints bite early.
 """
 
 from __future__ import annotations
@@ -65,39 +59,15 @@ DEFAULT_ORACLE_CAP = 10 ** 9
 DEFAULT_WORK_CAP = 10 ** 8  # inclusion-exclusion leaves; refuses K6 and K6-e
 
 
-def _placement_index(edges, eid_sets):
-    """(edge_cliques, clique_sizes) for placing `edges` in order of
-    decreasing participation in the cliques `eid_sets`, which must lie
-    inside `edges`: per placement position, the indices of the cliques
-    through that edge, and per clique, its edge count."""
-    participation = dict.fromkeys(edges, 0)
-    for eids in eid_sets:
-        for e in eids:
-            participation[e] += 1
-    order = sorted(edges, key=lambda e: (-participation[e], e))
-    pos = {e: i for i, e in enumerate(order)}
-    edge_cliques = [[] for _ in order]
-    for qi, eids in enumerate(eid_sets):
-        for e in eids:
-            edge_cliques[pos[e]].append(qi)
-    return (
-        tuple(tuple(ec) for ec in edge_cliques),
-        tuple(len(eids) for eids in eid_sets),
-    )
-
-
-def _constraint_index(g: Graph, k: int):
-    """Placement index of the whole edge set, free edges included: the
-    undecomposed input that the tests' reference enumeration runs on."""
-    return _placement_index(range(g.edge_count), clique_edge_ids(g, k))
-
-
 def _blocks(g: Graph, k: int):
     """(free, blocks): the number of edges in no k-clique, and one
-    (sorted edge ids, clique edge-id tuples) pair per class of edges linked
-    by shared k-cliques, in order of each class's first clique."""
+    (m_b, clique masks) pair per class of edges linked by shared k-cliques,
+    in order of each class's first clique.  A block's m_b edges take
+    positions in order of decreasing k-clique participation, then edge id,
+    and each clique is the bitmask of its edges' positions."""
     eid_sets = clique_edge_ids(g, k)
     root = list(range(g.edge_count))
+    participation = [0] * g.edge_count
 
     def find(e: int) -> int:
         while root[e] != e:
@@ -106,71 +76,19 @@ def _blocks(g: Graph, k: int):
         return e
 
     for eids in eid_sets:
+        for e in eids:
+            participation[e] += 1
         for e in eids[1:]:
             root[find(e)] = find(eids[0])
     grouped = {}
     for eids in eid_sets:
         grouped.setdefault(find(eids[0]), []).append(eids)
-    blocks = [(sorted({e for eids in qs for e in eids}), qs) for qs in grouped.values()]
-    return g.edge_count - sum(len(edges) for edges, _ in blocks), blocks
-
-
-def _enumerate_weights(m, edge_cliques, clique_sizes, max_classes) -> list:
-    """Reference count of the valid partitions of m placed edges by
-    restricted growth, bucketed by class count; returns a list of length
-    m+1."""
-    nq = len(clique_sizes)
-    cl_mask = [0] * nq
-    cl_cnt = [0] * nq
-    cl_safe = [False] * nq
-    weights = [0] * (m + 1)
-
-    def place(i: int, c: int):
-        """Apply one placement; returns (ok, trail)."""
-        trail = []
-        bit = 1 << c
-        for q in edge_cliques[i]:
-            if cl_safe[q]:
-                continue
-            if cl_mask[q] & bit:
-                cl_safe[q] = True
-                trail.append((q, True, 0))
-            else:
-                cl_mask[q] |= bit
-                cl_cnt[q] += 1
-                trail.append((q, False, bit))
-                if cl_cnt[q] == clique_sizes[q]:
-                    return False, trail
-        return True, trail
-
-    def unplace(trail):
-        for q, was_safe, bit in reversed(trail):
-            if was_safe:
-                cl_safe[q] = False
-            else:
-                cl_mask[q] ^= bit
-                cl_cnt[q] -= 1
-
-    def rec(i: int, used: int):
-        if i == m:
-            weights[used] += 1
-            return
-        top = used + 1 if used < max_classes else used
-        for c in range(top):
-            ok, trail = place(i, c)
-            if ok:
-                rec(i + 1, used + 1 if c == used else used)
-            unplace(trail)
-
-    rec(0, 0)
-    return weights
-
-
-def _block_weights(edges, eid_sets, max_classes: int) -> list:
-    """Partition weights of one block by the reference enumeration."""
-    return _enumerate_weights(
-        len(edges), *_placement_index(edges, eid_sets), min(max_classes, len(edges))
-    )
+    blocks = []
+    for qs in grouped.values():
+        order = sorted({e for eids in qs for e in eids}, key=lambda e: (-participation[e], e))
+        bit = {e: 1 << pos for pos, e in enumerate(order)}
+        blocks.append((len(order), [sum(bit[e] for e in eids) for eids in qs]))
+    return g.edge_count - sum(m for m, _ in blocks), blocks
 
 
 def _falling_product(a, b, top: int) -> list:
@@ -187,15 +105,6 @@ def _falling_product(a, b, top: int) -> list:
             for t in range(max(0, i + j - top), min(i, j) + 1):
                 out[i + j - t] += x * y * comb(i, t) * comb(j, t) * factorial(t)
     return out
-
-
-def _clique_masks(edges, eid_sets) -> list:
-    """One bitmask per clique over the block's placement positions."""
-    masks = [0] * len(eid_sets)
-    for pos, qs in enumerate(_placement_index(edges, eid_sets)[0]):
-        for q in qs:
-            masks[q] |= 1 << pos
-    return masks
 
 
 def _clique_set_graphs(masks):
@@ -270,13 +179,13 @@ def _independent_partitions(vertices, top: int) -> list:
     return weights
 
 
-def _ie_block_weights(edges, eid_sets, max_classes: int) -> list:
-    """Partition weights of one block by inclusion-exclusion over its
-    clique sets: sum_S (-1)^|S| S(uncovered, .) (x) P(H_S)."""
-    m = len(edges)
+def _ie_block_weights(m: int, masks, max_classes: int) -> list:
+    """Partition weights of the block of m edges with clique masks `masks`
+    by inclusion-exclusion over its clique sets:
+    sum_S (-1)^|S| S(uncovered, .) (x) P(H_S)."""
     top = min(max_classes, m)
     totals = [0] * (m + 1)
-    for odd, cover, vertices in _clique_set_graphs(_clique_masks(edges, eid_sets)):
+    for odd, cover, vertices in _clique_set_graphs(masks):
         term = _falling_product(
             stirling2_row(m - cover.bit_count()),
             _independent_partitions(vertices, top),
@@ -293,8 +202,8 @@ def _check_work(block_lists, cap: int) -> None:
     takes it past, so a refusal reports a lower bound above the cap."""
     est = 0
     for blocks in block_lists:
-        for edges, eid_sets in blocks:
-            est += _ie_estimate(_clique_masks(edges, eid_sets), cap - est)
+        for _, masks in blocks:
+            est += _ie_estimate(masks, cap - est)
             if est > cap:
                 raise CapExceeded(
                     f"estimated {est} enumeration leaves exceeds work cap {cap}",
@@ -324,8 +233,8 @@ def partition_weights(
     if work_cap is not None:
         _check_work([blocks], work_cap)
     weights = stirling2_row(free)
-    for edges, eid_sets in blocks:
-        block = _ie_block_weights(edges, eid_sets, max_classes)
+    for m_b, masks in blocks:
+        block = _ie_block_weights(m_b, masks, max_classes)
         weights = _falling_product(weights, block, max_classes)
     return tuple(w if j <= max_classes else 0 for j, w in enumerate(weights))
 

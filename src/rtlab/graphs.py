@@ -60,7 +60,8 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1) if u != v else False
+        """False unless u and v are distinct vertices in 0..n-1 joined by an edge."""
+        return u != v and 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def edge_id(self, u: int, v: int) -> int:
         return self._eindex[(u, v) if u < v else (v, u)]

@@ -509,6 +509,13 @@ def test_supersaturation_validation():
         supersaturation_bound(0, 1, 3, 5)
     with pytest.raises(ValueError):
         supersaturation_bound(5, 0, 3, 5)
+    # an n-vertex graph has 0..C(n,2) edges
+    for n, e in ((6, -5), (4, 100), (4, 7)):
+        with pytest.raises(ValueError, match="edge count"):
+            supersaturation_interval(n, 1, 3, e)
+        with pytest.raises(ValueError, match="edge count"):
+            supersaturation_bound(n, 1, 3, e)
+    assert supersaturation_bound(4, 1, 3, 6) > 0 and supersaturation_bound(4, 1, 3, 0) < 0
 
 
 def test_supersaturation_clique_bound_on_five_vertex_graphs():

@@ -440,6 +440,13 @@ def test_exit_code_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_supersat_impossible_edge_count_is_usage_error(capsys):
+    for e in ("-5", "16"):
+        code, out, err = run_cli(["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", e], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "invalid-argument"
+
+
 def test_missing_graph_input_is_parse_error(capsys):
     code, _, err = run_cli(["count", "-r", "6"], capsys)
     assert code == 4

@@ -5,12 +5,8 @@ import pytest
 
 from conftest import cycle_graph
 from rtlab.counting import (
-    _block_weights,
     _blocks,
-    _clique_masks,
     _clique_set_graphs,
-    _constraint_index,
-    _enumerate_weights,
     _ie_block_weights,
     _ie_estimate,
     _independent_partitions,
@@ -25,6 +21,7 @@ from rtlab.errors import CapExceeded, UnsupportedSizeError
 from rtlab.exactmath import falling_factorial, stirling2_row
 from rtlab.graphs import (
     Graph,
+    clique_edge_ids,
     complete_graph,
     count_cliques,
     enumerate_graphs,
@@ -32,6 +29,87 @@ from rtlab.graphs import (
     turan_graph,
     write_graph6,
 )
+
+# ---------------------------------------------------------------------------
+# the reference enumeration the engine is compared against
+#
+# It walks the set partitions of m placed edges as restricted growth strings,
+# at most Bell(m) states; a branch dies as soon as some k-clique has all
+# C(k,2) edges placed into C(k,2) distinct classes.  Once two edges of a
+# clique share a class the clique can never become rainbow, so its tracking
+# is switched off for the whole subtree.  Edges are placed in order of
+# decreasing k-clique participation so that constraints bite early.  The
+# input is the engine's: a block's edge count and one bitmask per clique over
+# the placement positions.
+
+
+def _enumerate_weights(m, masks, max_classes) -> list:
+    """Reference count of the valid partitions of m placed edges into at most
+    max_classes classes, bucketed by class count; returns a list of length
+    m+1."""
+    max_classes = min(max_classes, m)
+    edge_cliques = [[q for q, cm in enumerate(masks) if cm >> i & 1] for i in range(m)]
+    clique_sizes = [cm.bit_count() for cm in masks]
+    nq = len(masks)
+    cl_mask = [0] * nq
+    cl_cnt = [0] * nq
+    cl_safe = [False] * nq
+    weights = [0] * (m + 1)
+
+    def place(i: int, c: int):
+        """Apply one placement; returns (ok, trail)."""
+        trail = []
+        bit = 1 << c
+        for q in edge_cliques[i]:
+            if cl_safe[q]:
+                continue
+            if cl_mask[q] & bit:
+                cl_safe[q] = True
+                trail.append((q, True, 0))
+            else:
+                cl_mask[q] |= bit
+                cl_cnt[q] += 1
+                trail.append((q, False, bit))
+                if cl_cnt[q] == clique_sizes[q]:
+                    return False, trail
+        return True, trail
+
+    def unplace(trail):
+        for q, was_safe, bit in reversed(trail):
+            if was_safe:
+                cl_safe[q] = False
+            else:
+                cl_mask[q] ^= bit
+                cl_cnt[q] -= 1
+
+    def rec(i: int, used: int):
+        if i == m:
+            weights[used] += 1
+            return
+        top = used + 1 if used < max_classes else used
+        for c in range(top):
+            ok, trail = place(i, c)
+            if ok:
+                rec(i + 1, used + 1 if c == used else used)
+            unplace(trail)
+
+    rec(0, 0)
+    return weights
+
+
+def _constraint_index(g, k):
+    """(m, clique masks) of the whole edge set, free edges included, placed
+    by decreasing k-clique participation then edge id: the undecomposed
+    input of the reference enumeration."""
+    eid_sets = clique_edge_ids(g, k)
+    participation = [0] * g.edge_count
+    for eids in eid_sets:
+        for e in eids:
+            participation[e] += 1
+    order = sorted(range(g.edge_count), key=lambda e: (-participation[e], e))
+    bit = {e: 1 << pos for pos, e in enumerate(order)}
+    return g.edge_count, [sum(bit[e] for e in eids) for eids in eid_sets]
+
 
 # ---------------------------------------------------------------------------
 # the oracle itself, plus a second pure-python oracle for tiny cases
@@ -157,9 +235,9 @@ def test_count_monotone_in_r(k4, k5):
 
 def test_ie_block_weights_match_reference_on_k5(k5):
     # inclusion-exclusion over the block's 2^5 K4 sets
-    (edges, qs), = _blocks(k5, 4)[1]
+    (m, masks), = _blocks(k5, 4)[1]
     for top in (7, 10):
-        assert _ie_block_weights(edges, qs, top) == _block_weights(edges, qs, top)
+        assert _ie_block_weights(m, masks, top) == _enumerate_weights(m, masks, top)
 
 
 def test_count_work_cap(k5):
@@ -206,7 +284,7 @@ def test_polynomial_unconstrained_is_stirling(classes5):
 def test_partition_enumeration_matches_stirling_without_shortcut():
     # run the raw enumerator with no constraints; it must count Stirling rows
     for m in (0, 1, 4, 7, 9):
-        weights = _enumerate_weights(m, ((),) * m, (), m)
+        weights = _enumerate_weights(m, [], m)
         row = stirling2_row(m)
         expect = [row[0] if m == 0 else 0] + list(row[1:])
         assert weights == expect
@@ -245,11 +323,16 @@ def test_partition_weights_max_classes_truncation(k4):
     assert all(w == 0 for w in trunc[4:])
 
 
-def test_constraint_index_orders_by_participation(k5):
-    edge_cliques, sizes = _constraint_index(k5, 4)
-    assert len(sizes) == 5 and all(s == 6 for s in sizes)
+def test_blocks_place_edges_by_participation(k5):
+    free, ((m, masks),) = _blocks(k5, 4)
+    assert free == 0 and m == 10
+    assert len(masks) == 5 and all(cm.bit_count() == 6 for cm in masks)
     # K5 is edge-transitive: every edge sits in 3 of the 5 K4s
-    assert sorted(len(ec) for ec in edge_cliques) == [3] * 10
+    assert [sum(cm >> pos & 1 for cm in masks) for pos in range(m)] == [3] * 10
+    # T3(6)+e: the added edge lies in all 4 K4s and takes position 0
+    (m, masks), = _blocks(parse_graph6(T3_6_E), 4)[1]
+    per_position = [sum(cm >> pos & 1 for cm in masks) for pos in range(m)]
+    assert per_position[0] == 4 and per_position == sorted(per_position, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +347,7 @@ def undecomposed_weights(g, k, max_classes=None):
     """The kernel run once over the whole edge set, free edges included."""
     m = g.edge_count
     top = m if max_classes is None else min(max_classes, m)
-    return tuple(_enumerate_weights(m, *_constraint_index(g, k), top))
+    return tuple(_enumerate_weights(*_constraint_index(g, k), top))
 
 
 def test_blocks_match_undecomposed_all_n5_classes():
@@ -290,12 +373,12 @@ def test_blocks_match_brute_force_triangles():
 
 def test_block_structure():
     free, blocks = _blocks(parse_graph6(TWO_K4), 4)
-    assert free == 0 and [len(edges) for edges, _ in blocks] == [6, 6]
+    assert free == 0 and [m for m, _ in blocks] == [6, 6]
     free, blocks = _blocks(parse_graph6(K4_PATH), 4)
-    assert free == 5 and [len(edges) for edges, _ in blocks] == [6]
+    assert free == 5 and [m for m, _ in blocks] == [6]
     bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     free, blocks = _blocks(bowtie, 3)
-    assert free == 0 and [len(edges) for edges, _ in blocks] == [3, 3]
+    assert free == 0 and [m for m, _ in blocks] == [3, 3]
     assert _blocks(turan_graph(8, 3), 4) == (21, [])
 
 
@@ -375,11 +458,11 @@ def test_engines_agree_on_every_block_n5():
     for n in range(6):
         for g in enumerate_graphs(n):
             for k in (3, 4):
-                for edges, qs in _blocks(g, k)[1]:
+                for m, masks in _blocks(g, k)[1]:
                     blocks += 1
-                    for top in range(len(edges) + 1):
-                        assert _ie_block_weights(edges, qs, top) == _block_weights(
-                            edges, qs, top
+                    for top in range(m + 1):
+                        assert _ie_block_weights(m, masks, top) == _enumerate_weights(
+                            m, masks, top
                         ), (write_graph6(g), k, top)
     assert blocks == 32
 
@@ -387,25 +470,23 @@ def test_engines_agree_on_every_block_n5():
 def test_ie_engine_pins_t3_6_plus_edge():
     g = parse_graph6(T3_6_E)
     free, blocks = _blocks(g, 4)
-    assert free == 0 and [len(edges) for edges, _ in blocks] == [13]
+    assert free == 0 and [m for m, _ in blocks] == [13]
     assert count_colorings(g, 12, 4) == T3_6_E_R12
 
 
 def test_ie_estimate_bounds_its_leaves():
     hosts = [(g, k) for n in range(6) for g in enumerate_graphs(n) for k in (3, 4)]
     for g, k in hosts + [(parse_graph6(T3_6_E), 4)]:
-        for edges, qs in _blocks(g, k)[1]:
-            masks = _clique_masks(edges, qs)
+        for m, masks in _blocks(g, k)[1]:
             leaves = sum(
-                sum(_independent_partitions(vertices, len(edges)))
+                sum(_independent_partitions(vertices, m))
                 for _, _, vertices in _clique_set_graphs(masks)
             )
-            assert _ie_estimate(masks, 10 ** 12) >= leaves >= 2 ** len(qs)
+            assert _ie_estimate(masks, 10 ** 12) >= leaves >= 2 ** len(masks)
 
 
 def test_ie_estimate_stops_past_its_bound():
-    (edges, qs), = _blocks(parse_graph6(T3_6_E), 4)[1]
-    masks = _clique_masks(edges, qs)
+    (_, masks), = _blocks(parse_graph6(T3_6_E), 4)[1]
     full = _ie_estimate(masks, 10 ** 12)
     assert full == _ie_estimate(masks, full) > _ie_estimate(masks, 100) > 100
     assert _ie_estimate(masks, 15) == 16  # 2^4 clique sets pass 15 unsummed

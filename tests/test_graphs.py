@@ -125,6 +125,14 @@ def test_count_cliques_k_above_n():
     assert count_cliques(complete_graph(3), 4) == 0
 
 
+def test_has_edge_outside_vertex_range():
+    k5 = complete_graph(5)
+    assert k5.has_edge(0, 4) and not k5.has_edge(2, 2)
+    # negative indices must not wrap, and large ones must not raise
+    for u, v in ((-1, 0), (0, -1), (7, 0), (0, 7), (5, 5)):
+        assert k5.has_edge(u, v) is False
+
+
 # ---------------------------------------------------------------------------
 # closeness to k-partite
 

@@ -341,6 +341,10 @@ def test_through_triangle_errors(k4, k5):
     t = complete_template(k4, 6)
     with pytest.raises(ValueError):
         count_rainbow_copies_through_triangle(t, (0, 1, 1))
+    t5 = complete_template(k5, 6)
+    for tri in ((-1, 0, 1), (0, 1, 7)):
+        with pytest.raises(ValueError, match="is not a triangle"):
+            count_rainbow_copies_through_triangle(t5, tri)
     g_no_tri = Graph(4, [(0, 1), (1, 2), (2, 3)])
     t2 = complete_template(g_no_tri, 6)
     with pytest.raises(ValueError):
