@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -26,7 +27,6 @@ from .cleaning import (
     clean,
     critical_sets,
     list_size_histogram,
-    supersaturation_bound,
     supersaturation_interval,
     trace_to_dict,
     xi_from_delta,
@@ -59,7 +59,7 @@ from .templates import (
     Template,
     complete_template,
     count_rainbow_copies,
-    template_from_dict,
+    template_from_json,
     template_to_json,
 )
 
@@ -109,7 +109,7 @@ def _read_stream(path: str) -> list:
 def _load_template(path: str) -> Template:
     text = _read_text(path)
     try:
-        return template_from_dict(json.loads(text))
+        return template_from_json(text)
     except Graph6ParseError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
@@ -124,79 +124,58 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# payload builders (top level so worker processes can import them)
+# payload builders (top level so worker processes can import them).  Each
+# takes the parameter dict its record is keyed by, and only that: caps and
+# worker counts, which never change a result, are bound beforehand.
 
-def _payload_count(args):
-    code, r, k, work_cap = args
-    g = parse_graph6(code)
-    return {
-        "op": "count",
-        "graph": code,
-        "r": r,
-        "k": k,
-        "count": str(count_colorings(g, r, k, work_cap=work_cap)),
-    }
+def _payload_count(p, *, work_cap):
+    count = count_colorings(parse_graph6(p["graph"]), p["r"], p["k"], work_cap=work_cap)
+    return {"op": "count", **p, "count": str(count)}
 
 
-def _payload_poly(args):
-    code, k, work_cap = args
-    g = parse_graph6(code)
-    poly = partition_polynomial(g, k, work_cap=work_cap)
-    return {
-        "op": "poly",
-        "graph": code,
-        "k": k,
-        "edges": g.edge_count,
-        "coefficients": [str(c) for c in poly.coeffs],
-    }
+def _payload_poly(p, *, work_cap):
+    g = parse_graph6(p["graph"])
+    poly = partition_polynomial(g, p["k"], work_cap=work_cap)
+    return {"op": "poly", **p, "edges": g.edge_count, "coefficients": [str(c) for c in poly.coeffs]}
 
 
-def _payload_cliques(args):
-    code, k, want_list = args
-    g = parse_graph6(code)
-    payload = {
-        "op": "cliques",
-        "graph": code,
-        "k": k,
-        "count": str(count_cliques(g, k)),
-    }
-    if want_list:
-        payload["cliques"] = [list(q) for q in cliques(g, k)]
+def _payload_cliques(p):
+    g = parse_graph6(p["graph"])
+    payload = {"op": "cliques", "graph": p["graph"], "k": p["k"], "count": str(count_cliques(g, p["k"]))}
+    if p["list"]:
+        payload["cliques"] = [list(q) for q in cliques(g, p["k"])]
     return payload
 
 
-def _payload_closeness(args):
-    code, k, exact_cap = args
-    g = parse_graph6(code)
-    res = closeness_to_kpartite(g, k, exact_cap=exact_cap)
+def _payload_closeness(p):
+    res = closeness_to_kpartite(parse_graph6(p["graph"]), p["k"], exact_cap=p["exact_cap"])
     return {
         "op": "closeness",
-        "graph": code,
-        "k": k,
+        "graph": p["graph"],
+        "k": p["k"],
         "internal_edges": res.internal_edges,
         "partition": list(res.partition),
         "exact": res.exact,
     }
 
 
-def _payload_container_stats(args):
-    code, r, materialize, cap = args
-    g = parse_graph6(code)
-    t = complete_template(g, r)
-    stats, _rows = build_rainbow_hypergraph(t, materialize=materialize, cap=cap)
+def _payload_container_stats(p, *, materialize_cap):
+    t = complete_template(parse_graph6(p["graph"]), p["r"])
+    stats, _rows = build_rainbow_hypergraph(t, materialize=p["materialize"], cap=materialize_cap)
     return {
         "op": "container-stats",
-        "graph": code,
-        "r": r,
+        "graph": p["graph"],
+        "r": p["r"],
         "vertex_count": stats.vertex_count,
         "edge_count": str(stats.edge_count),
         "average_degree": _rat(stats.average_degree),
         "max_codegrees": [str(d) for d in stats.max_codegrees],
-        "materialized": bool(materialize),
+        "materialized": p["materialize"],
     }
 
 
-def _payload_template_stats(t: Template) -> dict:
+def _payload_template_stats(p):
+    t = template_from_json(p["template"])
     hist = list_size_histogram(t)
     return {
         "op": "template-stats",
@@ -209,10 +188,11 @@ def _payload_template_stats(t: Template) -> dict:
     }
 
 
-def _payload_search(args):
-    n, r, k, codes, workers, work_cap = args
-    graphs = None if codes is None else [parse_graph6(code) for code in codes]
-    report = rho_max_search(n, r, k, graphs=graphs, workers=workers, work_cap=work_cap)
+def _payload_search(p, *, workers, work_cap):
+    graphs = None if p["input"] is None else [parse_graph6(code) for code in p["input"]]
+    report = rho_max_search(
+        p["n"], p["r"], p["k"], graphs=graphs, workers=workers, work_cap=work_cap
+    )
     return {
         "op": "search",
         "n": report.n,
@@ -228,7 +208,8 @@ def _payload_search(args):
     }
 
 
-def _payload_container_threshold(r: int) -> dict:
+def _payload_container_threshold(p):
+    r = p["r"]
     n_min = min_n_for_container(r)
     _, tau_ok, delta_ok = hypothesis_flags(n_min, r)
     return {
@@ -243,14 +224,17 @@ def _payload_container_threshold(r: int) -> dict:
     }
 
 
-def _payload_clean(args):
-    t, cfg = args
-    return {"op": "clean", **trace_to_dict(clean(t, cfg))}
+def _clean_config(t: Template, p) -> CleaningConfig:
+    return CleaningConfig(r=t.r, xi=p["xi"], original_n=t.graph.n, priority=p["priority"])
 
 
-def _payload_critical(args):
-    t, original_n = args
-    cs = critical_sets(t, original_n=original_n)
+def _payload_clean(p):
+    t = template_from_json(p["template"])
+    return {"op": "clean", **trace_to_dict(clean(t, _clean_config(t, p)))}
+
+
+def _payload_critical(p):
+    cs = critical_sets(template_from_json(p["template"]), original_n=p["original_n"])
     return {
         "op": "critical",
         "triangles": [list(x) for x in cs.triangles],
@@ -261,19 +245,17 @@ def _payload_critical(args):
     }
 
 
-def _payload_supersat(args):
-    n, t, k, e = args
-    iv = supersaturation_interval(n, t, k, e)
-    bound = supersaturation_bound(n, t, k, e)
+def _payload_supersat(p):
+    iv = supersaturation_interval(p["n"], p["t"], p["k"], p["e"])
     return {
         "op": "supersat",
-        "n": n,
-        "t": t,
-        "k": k,
-        "edges": e,
-        "lower_bound": _rat(bound),
+        "n": p["n"],
+        "t": p["t"],
+        "k": p["k"],
+        "edges": p["e"],
+        "lower_bound": _rat(iv[0]),
         "interval": _interval(iv),
-        "positive": bound > 0,
+        "positive": iv[0] > 0,
     }
 
 
@@ -311,16 +293,17 @@ def _cache_from_args(args) -> ResultCache:
     return ResultCache(path)
 
 
-def _run_batch(op: str, items, fp_params, build, cache, workers: int):
-    """Map payload builders over inputs with bounded parallelism; output
-    order is input order regardless of completion order.  Fingerprints use
-    only result-determining parameters, never worker counts or caps, and
-    items that share a fingerprint are looked up, computed and stored once;
-    the new records of a batch are appended together."""
-    fps = [fingerprint(op, params, __version__) for params in fp_params]
+def _run_batch(op: str, params, build, cache, workers: int):
+    """Map `build` over the parameter dicts with bounded parallelism; output
+    order is input order regardless of completion order.  Each dict is both
+    the record's cache key and the builder's whole input, so a cached record
+    cannot depend on anything its key leaves out.  Items that share a
+    fingerprint are looked up, computed and stored once; the new records of
+    a batch are appended together."""
+    fps = [fingerprint(op, p, __version__) for p in params]
     payloads = {}
-    todo = {}  # fingerprint -> its first item, for the misses
-    for fp, item in zip(fps, items):
+    todo = {}  # fingerprint -> its first parameters, for the misses
+    for fp, p in zip(fps, params):
         if fp in payloads or fp in todo:
             continue
         hit = cache.lookup(fp) if cache else None
@@ -328,7 +311,7 @@ def _run_batch(op: str, items, fp_params, build, cache, workers: int):
             payloads[fp] = hit
             print(f"# cache hit {fp}", file=sys.stderr)
         else:
-            todo[fp] = item
+            todo[fp] = p
     if todo:
         tasks = list(todo.values())
         results = []
@@ -354,63 +337,35 @@ def _run_batch(op: str, items, fp_params, build, cache, workers: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers.  Each parser names the arguments that key its records
+# (`keys`) and those bound into the builder outside the key (`caps`).
 
-def _graph_items(args) -> list:
-    if getattr(args, "input", None):
-        return _read_stream(args.input)
-    if getattr(args, "graph", None):
-        return [_read_graph_arg(args.graph)]
-    raise InputError("need --graph or --input")
+def _keyed(args) -> dict:
+    return {key: getattr(args, key) for key in args.keys}
 
 
-def _cmd_count(args, cache):
-    codes = _graph_items(args)
-    items = [(code, args.r, args.k, args.work_cap) for code in codes]
-    fps = [{"graph": c, "r": args.r, "k": args.k} for c in codes]
-    return _run_batch("count", items, fps, _payload_count, cache, args.workers)
+def _batch(args, params, cache):
+    build = functools.partial(args.build, **{cap: getattr(args, cap) for cap in args.caps})
+    return _run_batch(args.command, params, build, cache, args.workers)
 
 
-def _cmd_poly(args, cache):
-    codes = _graph_items(args)
-    items = [(code, args.k, args.work_cap) for code in codes]
-    fps = [{"graph": c, "k": args.k} for c in codes]
-    return _run_batch("poly", items, fps, _payload_poly, cache, args.workers)
+def _cmd_keyed(args, cache):
+    return _batch(args, [_keyed(args)], cache)
 
 
-def _cmd_cliques(args, cache):
-    codes = _graph_items(args)
-    items = [(code, args.k, args.list) for code in codes]
-    fps = [{"graph": c, "k": args.k, "list": bool(args.list)} for c in codes]
-    return _run_batch("cliques", items, fps, _payload_cliques, cache, args.workers)
-
-
-def _cmd_closeness(args, cache):
-    codes = _graph_items(args)
-    items = [(code, args.k, args.exact_cap) for code in codes]
-    fps = [{"graph": c, "k": args.k, "exact_cap": args.exact_cap} for c in codes]
-    return _run_batch("closeness", items, fps, _payload_closeness, cache, args.workers)
-
-
-def _cmd_container_stats(args, cache):
-    codes = _graph_items(args)
-    items = [(code, args.r, args.materialize, args.materialize_cap) for code in codes]
-    fps = [
-        {"graph": c, "r": args.r, "materialize": bool(args.materialize)} for c in codes
-    ]
-    return _run_batch("container-stats", items, fps, _payload_container_stats, cache, args.workers)
+def _cmd_graphs(args, cache):
+    if args.input:
+        codes = _read_stream(args.input)
+    elif args.graph:
+        codes = [_read_graph_arg(args.graph)]
+    else:
+        raise InputError("need --graph or --input")
+    return _batch(args, [{"graph": code, **_keyed(args)} for code in codes], cache)
 
 
 def _cmd_search(args, cache):
     codes = _read_stream(args.input) if args.input else None
-    params = {
-        "n": args.n,
-        "r": args.r,
-        "k": args.k,
-        "input": sorted(codes) if codes is not None else None,
-    }
-    item = (args.n, args.r, args.k, codes, args.workers, args.work_cap)
-    records = _run_batch("search", [item], [params], _payload_search, cache, args.workers)
+    records = _batch(args, [{**_keyed(args), "input": codes}], cache)
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:
             for code, cnt in records[0]["table"]:
@@ -420,32 +375,21 @@ def _cmd_search(args, cache):
 
 def _cmd_template_stats(args, cache):
     t = _load_template(args.template)
-    params = {"template": template_to_json(t)}
-    return _run_batch("template-stats", [t], [params], _payload_template_stats, cache, args.workers)
-
-
-def _cmd_container_threshold(args, cache):
-    params = {"r": args.r}
-    return _run_batch(
-        "container-threshold", [args.r], [params], _payload_container_threshold, cache, args.workers
-    )
-
-
-def _resolve_xi(args) -> Fraction:
-    if args.xi is not None:
-        return _parse_fraction(args.xi)
-    if args.delta is not None:
-        return xi_from_delta(_parse_fraction(args.delta))
-    raise InputError("need --xi or --delta")
+    return _batch(args, [{"template": template_to_json(t)}], cache)
 
 
 def _cmd_clean(args, cache):
     t = _load_template(args.template)
-    xi = _resolve_xi(args)
-    priority = tuple(int(x) for x in args.priority.split(","))
-    cfg = CleaningConfig(r=t.r, xi=xi, original_n=t.graph.n, priority=priority)
-    params = {"template": template_to_json(t), "xi": str(xi), "priority": list(priority)}
-    return _run_batch("clean", [(t, cfg)], [params], _payload_clean, cache, args.workers)
+    if args.xi is not None:
+        xi = _parse_fraction(args.xi)
+    elif args.delta is not None:
+        xi = xi_from_delta(_parse_fraction(args.delta))
+    else:
+        raise InputError("need --xi or --delta")
+    priority = [int(x) for x in args.priority.split(",")]
+    params = {"template": template_to_json(t), "xi": str(xi), "priority": priority}
+    _clean_config(t, params)  # refuse a bad xi or template before the cache is read
+    return _batch(args, [params], cache)
 
 
 def _cmd_critical(args, cache):
@@ -453,15 +397,7 @@ def _cmd_critical(args, cache):
     original_n = t.graph.n if args.original_n is None else args.original_n
     if original_n < 1:
         raise ValueError("original_n must be >= 1")
-    item = (t, original_n)
-    params = {"template": template_to_json(t), "original_n": original_n}
-    return _run_batch("critical", [item], [params], _payload_critical, cache, args.workers)
-
-
-def _cmd_supersat(args, cache):
-    item = (args.n, args.t, args.k, args.e)
-    params = {"n": args.n, "t": args.t, "k": args.k, "e": args.e}
-    return _run_batch("supersat", [item], [params], _payload_supersat, cache, args.workers)
+    return _batch(args, [{"template": template_to_json(t), "original_n": original_n}], cache)
 
 
 def _cmd_bounds_compare(args, cache):
@@ -492,85 +428,82 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--cache", default=None, help="cache file path (JSONL)")
     common.add_argument("--no-cache", action="store_true")
+    common.set_defaults(caps=())
+    graph = argparse.ArgumentParser(add_help=False)
+    one = graph.add_mutually_exclusive_group()
+    one.add_argument("--graph", help="graph6 code or '-'")
+    one.add_argument("--input", help="graph6 stream file or '-'")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="rainbow-free coloring count")
-    p.add_argument("--graph", help="graph6 code or '-'")
-    p.add_argument("--input", help="graph6 stream file or '-'")
+    def add(name, summary, parents=(common,), **defaults):
+        p = sub.add_parser(name, parents=list(parents), help=summary)
+        p.set_defaults(**defaults)
+        return p
+
+    p = add("count", "rainbow-free coloring count", (common, graph), func=_cmd_graphs,
+            build=_payload_count, keys=("r", "k"), caps=("work_cap",))
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("poly", parents=[common], help="partition polynomial")
-    p.add_argument("--graph", help="graph6 code or '-'")
-    p.add_argument("--input", help="graph6 stream file or '-'")
+    p = add("poly", "partition polynomial", (common, graph), func=_cmd_graphs,
+            build=_payload_poly, keys=("k",), caps=("work_cap",))
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
-    p.set_defaults(func=_cmd_poly)
 
-    p = sub.add_parser("search", parents=[common], help="maximize the count over n-vertex classes")
+    p = add("search", "maximize the count over n-vertex classes", func=_cmd_search,
+            build=_payload_search, keys=("n", "r", "k"), caps=("workers", "work_cap"))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--input", help="graph6 stream of candidate classes")
     p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     p.add_argument("--save-table", help="persist the per-class table as JSONL")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("template-stats", parents=[common], help="template summary")
+    p = add("template-stats", "template summary", func=_cmd_template_stats,
+            build=_payload_template_stats)
     p.add_argument("--template", required=True, help="template JSON file or '-'")
-    p.set_defaults(func=_cmd_template_stats)
 
-    p = sub.add_parser("container-stats", parents=[common], help="rainbow hypergraph stats")
-    p.add_argument("--graph", help="graph6 code or '-'")
-    p.add_argument("--input", help="graph6 stream file or '-'")
+    p = add("container-stats", "rainbow hypergraph stats", (common, graph), func=_cmd_graphs,
+            build=_payload_container_stats, keys=("r", "materialize"), caps=("materialize_cap",))
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--materialize", action="store_true")
     p.add_argument("--materialize-cap", type=int, default=DEFAULT_MATERIALIZE_CAP)
-    p.set_defaults(func=_cmd_container_stats)
 
-    p = sub.add_parser("container-threshold", parents=[common], help="least n passing the hypothesis")
+    p = add("container-threshold", "least n passing the hypothesis", func=_cmd_keyed,
+            build=_payload_container_threshold, keys=("r",))
     p.add_argument("-r", type=int, required=True)
-    p.set_defaults(func=_cmd_container_threshold)
 
-    p = sub.add_parser("clean", parents=[common], help="run the cleaning procedure")
+    p = add("clean", "run the cleaning procedure", func=_cmd_clean, build=_payload_clean)
     p.add_argument("--template", required=True)
-    p.add_argument("--xi", help="exact rational, e.g. 1/100")
-    p.add_argument("--delta", help="derive xi = delta/(300 e^6)")
+    xi = p.add_mutually_exclusive_group()
+    xi.add_argument("--xi", help="exact rational, e.g. 1/100")
+    xi.add_argument("--delta", help="derive xi = delta/(300 e^6)")
     p.add_argument("--priority", default="1,2", choices=("1,2", "2,1"))
-    p.set_defaults(func=_cmd_clean)
 
-    p = sub.add_parser("critical", parents=[common], help="critical triangles/edges/vertices")
+    p = add("critical", "critical triangles/edges/vertices", func=_cmd_critical,
+            build=_payload_critical)
     p.add_argument("--template", required=True)
     p.add_argument("--original-n", type=int, default=None)
-    p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("closeness", parents=[common], help="distance to k-partite")
-    p.add_argument("--graph", help="graph6 code or '-'")
-    p.add_argument("--input", help="graph6 stream file or '-'")
+    p = add("closeness", "distance to k-partite", (common, graph), func=_cmd_graphs,
+            build=_payload_closeness, keys=("k", "exact_cap"))
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--exact-cap", type=int, default=14)
-    p.set_defaults(func=_cmd_closeness)
 
-    p = sub.add_parser("cliques", parents=[common], help="count/list k-cliques")
-    p.add_argument("--graph", help="graph6 code or '-'")
-    p.add_argument("--input", help="graph6 stream file or '-'")
+    p = add("cliques", "count/list k-cliques", (common, graph), func=_cmd_graphs,
+            build=_payload_cliques, keys=("k", "list"))
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--list", action="store_true")
-    p.set_defaults(func=_cmd_cliques)
 
-    p = sub.add_parser("supersat", parents=[common], help="supersaturation lower bound")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-e", type=int, required=True)
-    p.set_defaults(func=_cmd_supersat)
+    p = add("supersat", "supersaturation lower bound", func=_cmd_keyed,
+            build=_payload_supersat, keys=("n", "t", "k", "e"))
+    for flag in ("-n", "-t", "-k", "-e"):
+        p.add_argument(flag, type=int, required=True)
 
-    p = sub.add_parser("bounds-compare", parents=[common], help="which lower bound dominates")
+    p = add("bounds-compare", "which lower bound dominates", func=_cmd_bounds_compare)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
-    p.set_defaults(func=_cmd_bounds_compare)
 
     return parser
 

@@ -101,10 +101,16 @@ def turan_graph(n: int, parts: int) -> Graph:
 
 
 def extremal_number(n: int, k: int) -> int:
-    """Maximum edge count of an n-vertex graph without a k-clique."""
+    """Maximum edge count of an n-vertex graph without a k-clique: the edges
+    of the Turan graph T_{k-1}(n), whose s = n mod (k-1) parts have q+1
+    vertices and the others q, with q = n // (k-1).  Plain arithmetic, so
+    any n is accepted."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return turan_graph(n, k - 1).edge_count
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    q, s = divmod(n, k - 1)
+    return (n * n - s * (q + 1) ** 2 - (k - 1 - s) * q * q) // 2
 
 
 def _count_ext(adj, cand: int, k: int) -> int:

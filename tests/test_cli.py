@@ -243,6 +243,22 @@ def test_cached_subcommand_hits_on_repeat(argv, fp, tmp_path, capsys):
     assert out1 == out2
 
 
+def test_search_input_order_is_part_of_the_key(tmp_path, capsys):
+    # the table lists the classes in input order, so a reordered input is
+    # another record, not a cache hit on the first order's table
+    path = str(tmp_path / "c.jsonl")
+    fresh = []
+    for codes in (["C~", "CF", "C^"], ["C^", "CF", "C~"]):
+        stream = tmp_path / "classes.g6"
+        stream.write_text("\n".join(codes) + "\n")
+        argv = ["search", "-n", "4", "-r", "6", "--input", str(stream)]
+        code, out, err = run_cli(argv + ["--cache", path], capsys)
+        assert code == 0 and "cache hit" not in err
+        fresh.append(run_cli(argv + ["--no-cache"], capsys)[1])
+        assert out == fresh[-1]
+    assert fresh[0] != fresh[1]
+
+
 def test_search_saves_table_on_cache_hit(tmp_path, capsys):
     argv = ["search", "-n", "4", "-r", "6", "--save-table"]
     run_json(argv + [str(tmp_path / "t1.jsonl")], capsys)
@@ -288,7 +304,7 @@ def test_batch_duplicates_computed_and_stored_once(workers, isolated_cache, tmp_
     if workers == "1":  # a wrapped builder cannot be sent to worker processes
         build = cli._payload_count
         monkeypatch.setattr(cli, "_payload_count",
-                            lambda item: built.append(item[0]) or build(item))
+                            lambda p, **caps: built.append(p["graph"]) or build(p, **caps))
     code, out, _ = run_cli(["count", "--input", str(stream), "-r", "6", "--workers", workers],
                            capsys)
     assert code == 0
@@ -445,6 +461,23 @@ def test_supersat_impossible_edge_count_is_usage_error(capsys):
         code, out, err = run_cli(["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", e], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "invalid-argument"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[sub, "--graph", "C~", "--input", "classes.g6", *rest] for sub, *rest in (
+        ["count", "-r", "6"], ["poly"], ["cliques", "-k", "3"], ["closeness", "-k", "3"],
+        ["container-stats", "-r", "6"])]
+    + [["clean", "--template", "t.json", "--xi", "1/100", "--delta", "1/2"]],
+    ids=["count", "poly", "cliques", "closeness", "container-stats", "clean"],
+)
+def test_conflicting_inputs_are_usage_errors(argv, capsys):
+    # neither input is dropped in favour of the other: both is refused
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_missing_graph_input_is_parse_error(capsys):

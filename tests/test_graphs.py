@@ -63,9 +63,23 @@ def test_extremal_number_examples():
     assert extremal_number(9, 4) == 27
 
 
+def test_extremal_number_is_the_turan_edge_count():
+    for k in range(2, 9):
+        for n in range(65):
+            assert extremal_number(n, k) == turan_graph(n, k - 1).edge_count
+
+
+def test_extremal_number_past_the_graph_size_limit():
+    # the closed form needs no graph, so n > 64 is accepted
+    assert extremal_number(100, 4) == 3333
+    assert extremal_number(399, 4) == 53067
+
+
 def test_extremal_number_invalid():
     with pytest.raises(ValueError):
         extremal_number(5, 1)
+    with pytest.raises(ValueError):
+        extremal_number(-1, 4)
     with pytest.raises(ValueError):
         turan_graph(5, 0)
 

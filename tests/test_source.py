@@ -1,5 +1,6 @@
 """Source hygiene: every private module-level helper in `src/rtlab` is used
-by the program itself, not only by the tests."""
+by the program itself, not only by the tests, and every module-level import
+is read by its module."""
 
 import ast
 from collections import Counter
@@ -50,3 +51,40 @@ def test_guard_sees_a_helper_used_only_by_itself(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _Shape\n")
     assert unreferenced_private_helpers(tmp_path) == ["a:_dead"]
+
+
+def unused_imports(src=SRC) -> list:
+    """module:name of each name a module-level import binds that nothing else
+    in the module reads; `__init__` (re-exports) and `from __future__` are
+    exempt."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.stem}:{bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
+
+
+def test_guard_sees_an_import_nothing_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import public\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from fractions import Fraction, gcd\n\n"
+        "def public(x: Fraction):\n    return js.dumps(os.path.sep)\n"
+    )
+    assert unused_imports(tmp_path) == ["a:gcd"]
