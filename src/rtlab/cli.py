@@ -364,7 +364,8 @@ def _cmd_graphs(args, cache):
 
 
 def _cmd_search(args, cache):
-    codes = _read_stream(args.input) if args.input else None
+    # a repeated code is one class, so it is left out of the key as well
+    codes = list(dict.fromkeys(_read_stream(args.input))) if args.input else None
     records = _batch(args, [{**_keyed(args), "input": codes}], cache)
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ separate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
@@ -39,7 +40,7 @@ from .exactmath import (
     sqrt_interval,
 )
 from .graphs import clique_edge_ids, triangles
-from .templates import Template, count_distinct_choices, count_rainbow_copies
+from .templates import Template, count_distinct_choices, count_rainbow_copies, k4_rainbow_copies
 
 ELL = 6
 # weights of the co-degree functional at uniformity 6: leading 2^14 with
@@ -69,6 +70,10 @@ N_TAU = isqrt(TAU_FACTOR ** 6 * TAU_RADICAND ** 3 * TAU_THRESHOLD.denominator **
 INTERVAL_DIGITS = 40  # first precision of the certified intervals
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 7
+# Rows are counted in blocks of whole K4s of at least this many rows: a
+# block's numpy calls cost about a millisecond in all, a few percent of
+# counting this many rows, and its working set stays a few MB.
+_BLOCK_ROWS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -173,22 +178,48 @@ def _selection_rows(masks) -> np.ndarray:
     it has used, and a candidate colour whose bit is already set is dropped.
     Rows come out in lexicographic order of the colours in expansion order."""
     order = sorted(range(6), key=lambda i: (masks[i].bit_count(), i))
+    out = np.zeros((1, 6), dtype=np.uint8)
     used = np.zeros(1, dtype=np.uint64)
-    steps = []  # per expanded list: (parent row, colour) of every new row
     for i in order:
         colors = np.array(
-            [c for c in range(masks[i].bit_length()) if masks[i] >> c & 1], dtype=np.uint64
+            [c for c in range(masks[i].bit_length()) if masks[i] >> c & 1], dtype=np.uint8
         )
         bits = np.left_shift(np.uint64(1), colors)
         parent, pick = np.nonzero((used[:, None] & bits) == 0)
-        used = used[parent] | bits[pick]
-        steps.append((parent, colors[pick].astype(np.uint8)))
-    out = np.empty((len(used), 6), dtype=np.uint8)
-    row = slice(None)
-    for i, (parent, color) in zip(reversed(order), reversed(steps)):
-        out[:, i] = color[row]
-        row = parent[row]
+        out = out[parent]
+        out[:, i] = colors[pick]
+        if i != order[-1]:  # the last list's colours are never tested
+            used = used[parent] | bits[pick]
     return out
+
+
+def _id_dtype(t: Template):
+    """The row dtype: uint16 while every id fits one."""
+    return np.uint16 if t.graph.edge_count * t.r <= 0xFFFF else np.int64
+
+
+def _k4_rows(t: Template):
+    """The rows of each host K4 in turn, in `cliques(g, 4)` order."""
+    r, dtype = t.r, _id_dtype(t)
+    for eids in clique_edge_ids(t.graph, 4):
+        offsets = np.array([e * r for e in eids], dtype=dtype)
+        yield _selection_rows([t.masks[e] for e in eids]) + offsets
+
+
+def _k4_blocks(parts):
+    """The row arrays of consecutive K4s, joined until a block holds
+    _BLOCK_ROWS rows (the last block may hold fewer), so every K4's rows
+    lie in one block; a K4 of _BLOCK_ROWS rows or more is its own block,
+    not copied."""
+    held, count = [], 0
+    for rows in parts:
+        held.append(rows)
+        count += len(rows)
+        if count >= _BLOCK_ROWS:
+            yield held[0] if len(held) == 1 else np.concatenate(held)
+            held, count = [], 0
+    if count:
+        yield np.concatenate(held)
 
 
 def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndarray:
@@ -203,15 +234,11 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
             estimate=total,
             cap=cap,
         )
-    r = t.r
-    dtype = np.uint16 if t.graph.edge_count * r <= 0xFFFF else np.int64
-    out = np.empty((total, 6), dtype=dtype)
+    out = np.empty((total, 6), dtype=_id_dtype(t))
     at = 0
-    for eids in clique_edge_ids(t.graph, 4):
-        sel = _selection_rows([t.masks[e] for e in eids])
-        block = out[at : at + len(sel)]
-        np.add(sel, np.array([e * r for e in eids], dtype=dtype), out=block)
-        at += len(sel)
+    for rows in _k4_rows(t):
+        out[at : at + len(rows)] = rows
+        at += len(rows)
     return out
 
 
@@ -272,57 +299,77 @@ def _largest_multiplicity(words) -> int:
     return int(starts.max())
 
 
-def max_codegrees_from_rows(rows: np.ndarray, base: int) -> tuple:
+# A row's columns are the edges ab, ac, ad, bc, bd, cd of a K4 a < b < c < d.
+_K4_EDGES = tuple(itertools.combinations(range(4), 2))
+# The column combinations whose edges meet only three of its vertices: the
+# 12 pairs of edges sharing a vertex and the 4 triangles.
+_ON_THREE_VERTICES = frozenset(
+    combo
+    for j in (2, 3)
+    for combo in itertools.combinations(range(6), j)
+    if len({v for i in combo for v in _K4_EDGES[i]}) == 3
+)
+
+
+def max_codegrees_from_rows(rows, base: int) -> tuple:
     """Delta_2..Delta_6 by direct subset counting over explicit rows.
 
     `rows` holds one hyperedge per row as six increasing ids below `base`,
-    id = edge_id * r + (color - 1), as `materialize_rows` writes them.  The
-    columns are copied once, in the narrowest dtype that holds the largest
-    id.  Every j-subset of a row sits at some sorted column combination and
-    is keyed positionally in base `base`, as an int32 while base**j fits
-    one, since those sort about twice as fast.  For j <= 3 a j-set may sit
-    at different columns in different rows, so each combination's keys are
-    sorted and counted and the counts of all C(6, j) combinations are
-    merged once.  For j >= 4 that cannot happen in rows laid out as above,
-    one K4's six distinct edges per row: four or more distinct edges do not
-    fit on three vertices, so they span the four vertices of exactly one
-    K4, every row holding the j-set is a copy on that K4, and sorted ids
-    order its six edges by edge id.  The j-set therefore sits at the same
-    columns in every row that holds it, and Delta_j is the largest key
-    multiplicity of any one combination, with no merge across combinations.
-    Rows outside that layout (say, two colours of one edge in a row) pass
-    the input checks but may get Delta_4..Delta_6 undercounted."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != 6 or not np.issubdtype(rows.dtype, np.integer):
-        raise ValueError(f"rows must be integers of shape (m, 6), not {rows.dtype} {rows.shape}")
-    m = len(rows)
-    if m == 0:
-        return (0, 0, 0, 0, 0)
-    top = int(rows.max())
-    if rows.min() < 0 or base <= top or top >= 2 ** 63:
-        raise ValueError(f"ids {rows.min()}..{top} do not lie in 0..{min(base, 2 ** 63) - 1}")
-    if (rows[:, 1:] <= rows[:, :-1]).any():
-        raise ValueError("every row must hold six increasing ids")
+    id = edge_id * r + (color - 1), as `materialize_rows` writes them: one
+    K4's six distinct edges per row.  It is one (m, 6) integer array, or an
+    iterator of such arrays, blocks, with all the rows on any one K4 in one
+    block.  Rows outside that layout (say, two colours of one edge in a
+    row) pass the checks but may get their co-degrees undercounted.
+
+    Each block's columns are copied once, in the narrowest dtype that holds
+    its largest id.  Every j-subset of a row sits at some sorted column
+    combination and is keyed positionally in base `base`, as an int32
+    while base**j fits one, since those sort about twice as fast.  A j-set
+    whose edges span four vertices (always so for j >= 4) lies on exactly
+    one K4, so every row holding it is in one block, at the same columns:
+    its co-degree is the multiplicity of its key at that combination of
+    that block.  Two or three edges on three vertices lie on every K4
+    through that triangle, at columns that depend on where the fourth
+    vertex sorts, so those keys are counted per combination and block and
+    the counts are merged once at the end."""
     base = int(base)
-    # uint64 would not copy safely into int64 keys; ids past uint16 need those
-    narrow = np.min_scalar_type(top) if top < 2 ** 32 else np.int64
-    cols = np.ascontiguousarray(rows.T, dtype=narrow)
-    buf = None
-    out = []
-    for j in range(2, 7):
-        dtype = np.int32 if base ** j < 2 ** 31 else np.int64
-        if buf is None or buf.dtype != dtype:
-            buf = None  # one key buffer at a time
-            buf = np.empty(m, dtype=dtype)
-        # each key is used up before the next one is written over the buffer
-        keys = (_subrow_keys(cols, combo, base, buf) for combo in itertools.combinations(range(6), j))
-        if j >= 4:
-            out.append(max(_largest_multiplicity(k) for k in keys))
-        else:
-            parts = [_key_counts(k) for k in keys]
+    best = [0] * 5  # Delta_2..Delta_6 so far
+    shared = ([], [])  # j = 2, 3: (key words, multiplicities) on three vertices
+    for block in rows if isinstance(rows, Iterator) else [rows]:
+        block = np.asarray(block)
+        if block.ndim != 2 or block.shape[1] != 6 or not np.issubdtype(block.dtype, np.integer):
+            raise ValueError(
+                f"rows must be integers of shape (m, 6), not {block.dtype} {block.shape}"
+            )
+        if len(block) == 0:
+            continue
+        top = int(block.max())
+        if block.min() < 0 or base <= top or top >= 2 ** 63:
+            raise ValueError(f"ids {block.min()}..{top} do not lie in 0..{min(base, 2 ** 63) - 1}")
+        if (block[:, 1:] <= block[:, :-1]).any():
+            raise ValueError("every row must hold six increasing ids")
+        # uint64 would not copy safely into int64 keys; ids past uint16 need those
+        narrow = np.min_scalar_type(top) if top < 2 ** 32 else np.int64
+        cols = np.ascontiguousarray(block.T, dtype=narrow)
+        buf = None
+        for j in range(2, 7):
+            dtype = np.int32 if base ** j < 2 ** 31 else np.int64
+            if buf is None or buf.dtype != dtype:
+                buf = None  # one key buffer at a time
+                buf = np.empty(len(block), dtype=dtype)
+            # each key is used up before the next one is written over the buffer
+            for combo in itertools.combinations(range(6), j):
+                words = _subrow_keys(cols, combo, base, buf)
+                if combo in _ON_THREE_VERTICES:
+                    shared[j - 2].append(_key_counts(words))
+                else:
+                    best[j - 2] = max(best[j - 2], _largest_multiplicity(words))
+    for j, parts in enumerate(shared):
+        if parts:
             merged = [np.concatenate(w) for w in zip(*(p[0] for p in parts))]
-            out.append(int(_key_counts(merged, np.concatenate([p[1] for p in parts]))[1].max()))
-    return tuple(out)
+            counts = _key_counts(merged, np.concatenate([p[1] for p in parts]))[1]
+            best[j] = max(best[j], int(counts.max()))
+    return tuple(best)
 
 
 def codegree_from_rows(rows: np.ndarray, vids) -> int:
@@ -386,9 +433,11 @@ def build_rainbow_hypergraph(
 
     Returns (stats, rows); rows is None unless materialize is set.
     Co-degrees come from the closed form when every list is full, on any
-    host, else from the rows.  For a template with a list short of full
-    whose hyperedge count exceeds the cap, co-degrees cannot be computed:
-    stats_only returns them as None, otherwise the call refuses.
+    host, else from the rows, counted K4 by K4; without materialize the
+    rows are generated a block at a time and never all held.  For a
+    template with a list short of full whose hyperedge count exceeds the
+    cap, co-degrees cannot be computed: stats_only returns them as None,
+    otherwise the call refuses.
     """
     nv = t.graph.edge_count * t.r
     ne = count_rainbow_copies(t)
@@ -396,11 +445,14 @@ def build_rainbow_hypergraph(
     rows = None
     if materialize:
         rows = materialize_rows(t, cap)
-        deltas = max_codegrees_from_rows(rows, nv)
+        # the K4 table is in `cliques` order, the order of the rows
+        ends = itertools.accumulate(k4_rainbow_copies(t).values(), initial=0)
+        k4s = (rows[a:b] for a, b in itertools.pairwise(ends))
+        deltas = max_codegrees_from_rows(_k4_blocks(k4s), nv)
     elif all(m == (1 << t.r) - 1 for m in t.masks):
         deltas = _full_list_codegrees(_most_k4s_on_a_triangle(t.graph), t.r)
     elif ne <= cap:
-        deltas = max_codegrees_from_rows(materialize_rows(t, cap), nv)
+        deltas = max_codegrees_from_rows(_k4_blocks(_k4_rows(t)), nv)
     elif stats_only:
         deltas = None
     else:

@@ -357,7 +357,7 @@ class SearchReport:
     turan_exponent: int
     turan_count: int
     best_attains_turan_bound: bool
-    table: tuple  # ((graph6, count), ...) in input order
+    table: tuple  # ((graph6, count), ...) per distinct code, in input order
 
 
 def _search_task(args):
@@ -374,20 +374,20 @@ def rho_max_search(
     work_cap: int = None,
 ) -> SearchReport:
     """Maximize count_colorings over the supplied isomorphism classes
-    (internal enumeration when graphs is None, n <= 6).  Ties break to the
-    lexicographically least graph6 string so reports are reproducible."""
-    if graphs is None:
-        graphs = list(enumerate_graphs(n))
-    else:
-        graphs = list(graphs)
-        for g in graphs:
-            if g.n != n:
-                raise ValueError(f"stream graph has {g.n} vertices, expected {n}")
-    if not graphs:
+    (internal enumeration when graphs is None, n <= 6).  Graphs with the
+    same graph6 code are one class, listed where it first occurs; two
+    labellings of one class stay two.  Ties break to the lexicographically
+    least graph6 string so reports are reproducible."""
+    by_code = {}
+    for g in enumerate_graphs(n) if graphs is None else graphs:
+        if g.n != n:
+            raise ValueError(f"stream graph has {g.n} vertices, expected {n}")
+        by_code.setdefault(write_graph6(g), g)
+    if not by_code:
         raise ValueError("no graphs to search")
+    codes, graphs = list(by_code), list(by_code.values())
     if work_cap is not None and r >= comb(k, 2):
         _check_work((_blocks(g, k)[1] for g in graphs), work_cap)
-    codes = [write_graph6(g) for g in graphs]
     if workers > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -147,7 +147,13 @@ def r_neighborhood(t: Template, v: int) -> int:
 # (203 for the six lists of a K4), whatever the number of colors.  One numpy
 # kernel takes a whole batch of rows, such as every K4 of a template.
 
-_CHUNK = 2048  # rows per pass of the Moebius sum: a few MB of int64 terms
+# Rows per pass of the Moebius sum, by list count q: as many as keep the
+# widest int64 matrix of a pass, Bell(q) terms or 2^q + 1 list sizes per row,
+# within 1 MiB (645 rows at q = 6), so a pass stays in cache and its memory
+# does not grow with the batch.
+_PASS_ROWS = tuple(
+    2 ** 20 // (8 * max(len(SET_PARTITIONS[q]), 2 ** q + 1)) for q in range(7)
+)
 
 
 def count_distinct_choices(rows, forbidden: int = 0) -> list:
@@ -176,9 +182,10 @@ def count_distinct_choices(rows, forbidden: int = 0) -> list:
         blocks[: len(bs), p] = bs
     allowed = np.uint64(~forbidden & (1 << 64) - 1)
     cols = rows.T
+    step = _PASS_ROWS[q]
     out = []
-    for at in range(0, rows.shape[0], _CHUNK):
-        chunk = cols[:, at : at + _CHUNK]
+    for at in range(0, rows.shape[0], step):
+        chunk = cols[:, at : at + step]
         inter = np.empty((ones, chunk.shape[1]), dtype=np.uint64)
         inter[0] = allowed  # inter[S]: colors allowed on every list in S
         for s in range(1, ones):
@@ -186,6 +193,7 @@ def count_distinct_choices(rows, forbidden: int = 0) -> list:
             np.bitwise_and(inter[s ^ low], chunk[low.bit_length() - 1], out=inter[s])
         size = np.ones((ones + 1, chunk.shape[1]), dtype=np.int64)
         size[:ones] = np.bitwise_count(inter)
+        del inter
         terms = size[blocks[0]]
         for b in blocks[1:]:
             terms *= size[b]
@@ -230,7 +238,7 @@ def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -
         sub = g
     if sub.n != g.n or any(s & ~h for s, h in zip(sub.adj, g.adj)):
         raise ValueError("sub must be a subgraph of the template host")
-    a, b, c = tri
+    a, b, c = sorted(tri)
     if len({a, b, c}) != 3 or not (
         sub.has_edge(a, b) and sub.has_edge(a, c) and sub.has_edge(b, c)
     ):
@@ -241,7 +249,13 @@ def count_rainbow_copies_through_triangle(t: Template, tri, sub: Graph = None) -
     while ext:
         bit = ext & -ext
         ext ^= bit
-        total += copies[tuple(sorted((a, b, c, bit.bit_length() - 1)))]
+        d = bit.bit_length() - 1
+        # the K4's key is its sorted vertex tuple: d goes where it sorts
+        if d < b:
+            key = (d, a, b, c) if d < a else (a, d, b, c)
+        else:
+            key = (a, b, d, c) if d < c else (a, b, c, d)
+        total += copies[key]
     return total
 
 

@@ -259,6 +259,34 @@ def test_search_input_order_is_part_of_the_key(tmp_path, capsys):
     assert fresh[0] != fresh[1]
 
 
+def test_search_input_counts_repeated_codes_once(monkeypatch, capsys):
+    # a stream without repeats answers as before; repeats, blank lines and
+    # stray whitespace change nothing on stdout
+    outs = []
+    for text in ("C~\nCF\n", "C~\nC~\nCF\n", "CF \n\n C~\nCF\nC~\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ["search", "-n", "4", "-r", "6", "--input", "-", "--no-cache"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+    assert outs[0]["classes"] == 2
+    assert outs[0]["table"] == [["C~", "45936"], ["CF", "216"]]
+    assert outs[2]["table"] == outs[0]["table"][::-1]
+
+
+def test_search_input_with_repeats_shares_the_record(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "c.jsonl")
+    errs = []
+    for text in ("C~\nCF\n", "C~\nC~\nCF\nCF\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ["search", "-n", "4", "-r", "6", "--input", "-", "--cache", path]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        errs.append(err)
+    assert "cache hit" not in errs[0] and "cache hit" in errs[1]
+
+
 def test_search_saves_table_on_cache_hit(tmp_path, capsys):
     argv = ["search", "-n", "4", "-r", "6", "--save-table"]
     run_json(argv + [str(tmp_path / "t1.jsonl")], capsys)

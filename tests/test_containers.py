@@ -40,7 +40,7 @@ from rtlab.templates import (
     count_distinct_choices,
     count_rainbow_copies,
 )
-from test_acceptance import MIN_N_CONTAINER_R12
+from test_acceptance import CODEGREE_GRID, MIN_N_CONTAINER_R12
 from test_templates import brute_rainbow_rows, random_template
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,12 @@ def test_row_codegrees_validate_their_input():
             max_codegrees_from_rows(bad, 36)
     with pytest.raises(ValueError):  # ids past int64
         max_codegrees_from_rows(rows.astype(np.uint64) + np.uint64(2 ** 63), 2 ** 64)
+    # a list is one block; an iterator yields blocks, each one checked
+    assert max_codegrees_from_rows(rows.tolist(), 36) == (24, 6, 2, 1, 1)
+    assert max_codegrees_from_rows(iter([rows[:0], rows]), 36) == (24, 6, 2, 1, 1)
+    assert max_codegrees_from_rows(iter([]), 36) == (0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        max_codegrees_from_rows(iter([rows, rows[:, ::-1]]), 36)
 
 
 def test_row_codegrees_memory_follows_the_row_count():
@@ -451,6 +457,52 @@ def test_materialize_rows_match_product_oracle():
     assert any(v % 64 == 63 for row in want for v in row)
     assert sorted(map(tuple, materialize_rows(t).tolist())) == want
     assert len(want) == count_rainbow_copies(t)
+
+
+def test_k4_blocks_count_like_one_block(monkeypatch):
+    # every K4 its own block, then K4s joined into blocks of _BLOCK_ROWS,
+    # against all the rows counted as one block
+    rng = random.Random(0xB10C)
+    cases = []
+    for _ in range(150):
+        t = _oracle_template(rng)
+        rows = materialize_rows(t)
+        cases.append((t, rows, max_codegrees_from_rows(rows, t.graph.edge_count * t.r)))
+    assert sum(want != (0, 0, 0, 0, 0) for _, _, want in cases) >= 20
+    for block_rows in (1, containers._BLOCK_ROWS):
+        monkeypatch.setattr(containers, "_BLOCK_ROWS", block_rows)
+        for t, rows, want in cases:
+            base = t.graph.edge_count * t.r
+            blocks = containers._k4_blocks(containers._k4_rows(t))
+            assert max_codegrees_from_rows(blocks, base) == want
+            stats, held = build_rainbow_hypergraph(t, materialize=True)
+            assert stats.max_codegrees == want and np.array_equal(held, rows)
+            assert build_rainbow_hypergraph(t)[0].max_codegrees == want
+    # complete templates on the acceptance grid; criterion 05 counts the
+    # 9,979,200 rows of (6, 12) as one block against the same closed form
+    for n, r in CODEGREE_GRID:
+        t = complete_template(complete_graph(n), r)
+        base = t.graph.edge_count * r
+        got = max_codegrees_from_rows(containers._k4_blocks(containers._k4_rows(t)), base)
+        assert got == structural_max_codegrees(n, r)
+        if count_rainbow_copies(t) < 10 ** 6:
+            assert max_codegrees_from_rows(materialize_rows(t), base) == got
+
+
+def test_materialized_counting_holds_one_block_beyond_the_rows():
+    # the rows are returned; counting them K4 by K4 needs a few MB more,
+    # however many K4s there are
+    for n in (5, 6):
+        t = complete_template(complete_graph(n), 9)
+        count_rainbow_copies(t)
+        tracemalloc.start()
+        try:
+            stats, rows = build_rainbow_hypergraph(t, materialize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.max_codegrees == structural_max_codegrees(n, 9)
+        assert peak < rows.nbytes + 8 * 2 ** 20
 
 
 def _row_order_template(rng: random.Random) -> Template:

@@ -523,6 +523,19 @@ def test_search_n4_r5(classes4, k4):
     assert all(int(cnt) >= 1 for _, cnt in rep.table)
 
 
+def test_search_counts_each_code_once(k4):
+    # repeated codes are one class, kept where first seen; two labellings
+    # of the path P4 stay two classes, there being no canonical form
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    p4_relabelled = Graph(4, [(0, 1), (0, 2), (2, 3)])
+    rep = rho_max_search(4, 6, 4, graphs=[p4, k4, p4, p4_relabelled, k4])
+    codes = [write_graph6(g) for g in (p4, k4, p4_relabelled)]
+    assert len(set(codes)) == 3
+    assert [code for code, _ in rep.table] == codes
+    assert rep.table == rho_max_search(4, 6, 4, graphs=[p4, k4, p4_relabelled]).table
+    assert rep.best_graph6 == write_graph6(k4)
+
+
 def test_search_n4_r12(k4):
     rep = rho_max_search(4, 12, 4)
     assert rep.best_count == max(12 ** 5, 12 ** 6 - falling_factorial(12, 6))

@@ -1,8 +1,10 @@
 import itertools
 import json
 import random
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,12 +216,32 @@ def test_kernel_matches_scalar_oracle_seeded():
             rows = [[_random_mask(rng, r) for _ in range(q)] for _ in range(30)]
             want = [scalar_distinct_choices(row, forbidden) for row in rows]
             assert count_distinct_choices(rows, forbidden) == want
-    # more rows than one chunk of the Moebius sum, all 64 colors in play
-    rows = [[_random_mask(rng, 64) for _ in range(6)] for _ in range(2 * templates._CHUNK + 37)]
-    rows[-1] = [(1 << 64) - 1] * 6
-    got = count_distinct_choices(rows)
-    assert got == [scalar_distinct_choices(row) for row in rows]
-    assert got[-1] == falling_factorial(64, 6)
+    # batches crossing two pass boundaries of the Moebius sum at every q,
+    # all 64 colors in play
+    for q in range(1, 7):
+        size = 2 * templates._PASS_ROWS[q] + 37
+        rows = [[_random_mask(rng, 64) for _ in range(q)] for _ in range(size)]
+        rows[-1] = [(1 << 64) - 1] * q
+        got = count_distinct_choices(rows)
+        assert got == [scalar_distinct_choices(row) for row in rows]
+        assert got[-1] == falling_factorial(64, q)
+
+
+def test_kernel_passes_stay_small():
+    # a pass holds at most 1 MiB of int64 terms at q = 6, whatever the batch
+    step = templates._PASS_ROWS[6]
+    assert len(SET_PARTITIONS[6]) * 8 * step <= 2 ** 20 < len(SET_PARTITIONS[6]) * 8 * (step + 1)
+    rng = random.Random(66)
+    rows = [[rng.getrandbits(64) for _ in range(6)] for _ in range(20000)]
+    rows = np.array(rows, dtype=np.uint64)  # the caller's: not traced
+    tracemalloc.start()
+    try:  # a pass's matrices and the 20,000 counts returned
+        got = count_distinct_choices(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:50] == [scalar_distinct_choices(row) for row in rows[:50].tolist()]
+    assert peak < 4 * 2 ** 20
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -335,6 +357,25 @@ def test_through_triangle_respects_sub(k5):
     sub2 = Graph(5, [e for e in k5.edges if e != (0, 3)])
     cnt2 = count_rainbow_copies_through_triangle(t, (0, 1, 2), sub=sub2)
     assert cnt2 == falling_factorial(12, 6)  # only w=4 forms a K4 inside sub2
+
+
+def test_through_triangle_in_any_vertex_order():
+    # extension vertices below, between and above the triangle's vertices,
+    # the triangle given in every order, inside the host and a subgraph
+    rng = random.Random(77)
+    g = complete_graph(7)
+    t = Template(g, 9, [rng.getrandbits(9) | rng.getrandbits(9) for _ in range(g.edge_count)])
+    sub = Graph(7, [e for e in g.edges if rng.random() < 0.8])
+    copies = templates.k4_rainbow_copies(t)
+    for h in (g, sub):
+        for tri in itertools.combinations(range(7), 3):
+            if not all(h.has_edge(u, v) for u, v in itertools.combinations(tri, 2)):
+                continue
+            want = sum(c for quad, c in copies.items()
+                       if set(tri) <= set(quad)
+                       and all(h.has_edge(u, v) for u, v in itertools.combinations(quad, 2)))
+            for perm in itertools.permutations(tri):
+                assert count_rainbow_copies_through_triangle(t, perm, sub=h) == want
 
 
 def test_through_triangle_errors(k4, k5):
