@@ -298,15 +298,17 @@ def _run_batch(op: str, params, build, cache, workers: int):
     order is input order regardless of completion order.  Each dict is both
     the record's cache key and the builder's whole input, so a cached record
     cannot depend on anything its key leaves out.  Items that share a
-    fingerprint are looked up, computed and stored once; the new records of
-    a batch are appended together."""
+    fingerprint are looked up, computed and stored once; the first lookup
+    reads the records of the whole batch, and its new records are appended
+    together."""
     fps = [fingerprint(op, p, __version__) for p in params]
+    distinct = set(fps)
     payloads = {}
     todo = {}  # fingerprint -> its first parameters, for the misses
     for fp, p in zip(fps, params):
         if fp in payloads or fp in todo:
             continue
-        hit = cache.lookup(fp) if cache else None
+        hit = cache.lookup(fp, distinct) if cache else None
         if hit is not None:
             payloads[fp] = hit
             print(f"# cache hit {fp}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,36 @@ def test_lookup_matches_full_parse_oracle(seed, tmp_path, capsys):
         assert err == ""
 
 
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("seed", range(40))
+def test_lookup_matches_the_oracle_across_read_boundaries(seed, block, tmp_path, capsys,
+                                                         monkeypatch):
+    # reads this short make a line, a "\r\n" pair and a 32-byte key each
+    # cross a boundary between two reads
+    monkeypatch.setattr(cache_module, "_BLOCK", block)
+    test_lookup_matches_full_parse_oracle(seed, tmp_path, capsys)
+
+
+def test_absent_lookup_holds_a_block_not_the_file(tmp_path):
+    rng = random.Random(3)
+    lines = [
+        _canonical(_record("%032x" % rng.getrandbits(128), {"count": str(rng.getrandbits(120))}))
+        for _ in range(25000)
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    del lines
+    assert path.stat().st_size > 4_000_000
+    cache = ResultCache(str(path))
+    tracemalloc.start()
+    try:
+        assert cache.lookup("%032x" % rng.getrandbits(128)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_torn_newest_line_serves_the_previous_record(tmp_path, capsys):
     fp = fingerprint("count", {"graph": "C~", "r": 6, "k": 4}, "0.1.0")
     good = _canonical(_record(fp, {"count": "45936"}))
@@ -175,6 +206,19 @@ def test_store_after_a_torn_last_line_starts_a_new_line(tmp_path):
     assert path.read_text().count("\n\n") == 0
     for reader in (cache, ResultCache(str(path))):
         assert reader.lookup(fp) == {"count": "2"}
+
+
+@pytest.mark.parametrize("end, gap", [("", b"\n"), ("\n", b""), ("\r\n", b""), ("\r", b"")])
+def test_store_without_a_read_ends_a_torn_last_line(end, gap, tmp_path):
+    good = _canonical(_record("c" * 32, {"count": "1"}))
+    path = tmp_path / "c.jsonl"
+    before = (good + "\n" + good[:-7] + end).encode()  # a writer died mid-line
+    path.write_bytes(before)
+    ResultCache(str(path)).store("count", [("d" * 32, {"count": "3"})], "0.1.0")
+    data = path.read_bytes()
+    assert data.startswith(before + gap + b'{"fingerprint":"' + b"d" * 32)
+    assert ResultCache(str(path)).lookup("d" * 32) == {"count": "3"}
+    assert oracle_index(path) == ({"c" * 32: {"count": "1"}, "d" * 32: {"count": "3"}}, 1)
 
 
 def test_invalid_utf8_line_is_corrupt_not_fatal(tmp_path, capsys):

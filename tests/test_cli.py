@@ -412,7 +412,8 @@ def test_cache_concurrent_append_atomicity(tmp_path):
     path = str(tmp_path / "stress.jsonl")
     with multiprocessing.Pool(4) as pool:
         pool.map(_stress_writer, [(path, w) for w in range(4)])
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 100
     recs = [json.loads(line) for line in lines]  # no torn lines
     assert len({r["fingerprint"] for r in recs}) == 100
