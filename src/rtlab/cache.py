@@ -5,14 +5,16 @@ artifact version, timestamp.  A batch of lines is written with a single
 write call so concurrent writers never interleave.
 
 A lookup of a fingerprint this process has not met makes one pass over
-the file in blocks of `_BLOCK` bytes and answers it together with the
-rest of its batch, keeping only those fingerprints' newest records, so
-memory is bounded by the block size (and the longest line), not by the
-file.  In each block a fingerprint's lines are found by a byte search
-for the way `store` begins them, and only those are parsed, newest
-first, so a torn line falls back to that fingerprint's previous record.
-Lines in any other layout are parsed as they pass; those that fail are
-skipped with one warning and never fatal.
+the file and answers it together with the rest of its batch, keeping
+only those fingerprints' newest records.  The pass reads `_BLOCK` bytes
+and the rest of the line they end in, so memory is bounded by the block
+size and the longest line, not by the file; a file whose only line
+breaks are lone "\r" is one line to that read.  One regular expression
+per pass finds, in file order, the lines that begin the way `store`
+writes a wanted key and every line in any other layout; the last
+well-formed record of a fingerprint wins, so a torn line falls back to
+that fingerprint's previous record.  Other-layout lines that fail to
+parse are skipped with one warning and never fatal.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ _BLOCK = 1 << 16  # bytes per read of a pass over the file
 # A line `store` writes for a `fingerprint()` key begins
 # `{"fingerprint":"<32 hex digits>"`; alphanumerics need no escaping, so
 # the 32 bytes between the quotes are the exact key.
-_PREFIX = b'{"fingerprint":"'
 _LAYOUT = rb'\{"fingerprint":"[0-9A-Za-z]{32}"'
-_STORE_LINE = re.compile(_LAYOUT)
-_OTHER_BREAK = re.compile(rb"\n(?!" + _LAYOUT + rb")")  # breaks before any other line
 
 
 def fingerprint(op: str, params: dict, version: str) -> str:
@@ -52,43 +51,6 @@ def _record(line: bytes):
     return rec["fingerprint"], rec["payload"]
 
 
-def _line(data: bytes, start: int) -> bytes:
-    end = data.find(b"\n", start)
-    return data[start:] if end < 0 else data[start:end]
-
-
-def _layout_starts(data: bytes, head: bytes):
-    """Offsets of the lines of `data` that begin with `head`, newest first:
-    one byte search from the end per line found."""
-    needle, hi = b"\n" + head, len(data)
-    while (at := data.rfind(needle, 0, hi)) >= 0:
-        yield at + 1
-        hi = at
-    if data.startswith(head):
-        yield 0
-
-
-def _blocks(fh):
-    """(offset, lines) for each run of whole lines read `_BLOCK` bytes at a
-    time, line breaks made b"\n", the offset counted in those runs; a torn
-    last line comes alone.  A "\r\n" split by a read adds a blank line."""
-    offset, carry = 0, []
-    while chunk := fh.read(_BLOCK):
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        cut = chunk.rfind(b"\n") + 1
-        if not cut:
-            carry.append(chunk)  # a partial line goes on to the next read
-            continue
-        carry.append(chunk[:cut])
-        data = b"".join(carry)
-        carry = [chunk[cut:]]
-        yield offset, data
-        offset += len(data)
-    if data := b"".join(carry):
-        yield offset, data
-
-
 class ResultCache:
     def __init__(self, path: str):
         self.path = path
@@ -98,47 +60,40 @@ class ResultCache:
 
     def _read(self, wanted: set):
         """Answer every fingerprint of `wanted` from one pass over the file."""
-        heads = {
-            fp: _PREFIX + fp.encode("ascii") + b'"'
+        keys = b"|".join(
+            fp.encode()
             for fp in wanted
             if isinstance(fp, str) and len(fp) == 32 and fp.isascii() and fp.isalnum()
-        }
-        newest = {}  # fingerprint -> (offset, line) of its newest well-formed line
-        bad, data = 0, b""
+        )
+        # one match per line: group 1 is the line, group 2 the key of a
+        # wanted line in the store layout and None for any other layout
+        # ("(?!)" matches nothing when no key is well-formed)
+        lines = re.compile(
+            rb'\n((?:\{"fingerprint":"(%s)"|(?!%s))[^\n]*)' % (keys or rb"(?!)", _LAYOUT)
+        )
+        newest = {}  # fingerprint -> its newest well-formed line
+        bad, self._torn = 0, False
         if os.path.exists(self.path):
             with open(self.path, "rb") as fh:
-                for base, data in _blocks(fh):
-                    for fp, head in heads.items():
-                        for start in _layout_starts(data, head):
-                            line = _line(data, start)
-                            try:
-                                found = _record(line)[0]
-                            except (ValueError, KeyError, TypeError):
-                                continue
-                            if found == fp:
-                                newest[fp] = (base + start, line)
-                                break
-                    starts = [m.end() for m in _OTHER_BREAK.finditer(data)]
-                    if not _STORE_LINE.match(data):
-                        starts.insert(0, 0)
-                    for start in starts:
-                        line = _line(data, start)
-                        if not line.strip():
-                            continue
+                while block := fh.read(_BLOCK) + fh.readline():  # whole lines
+                    if b"\r" in block:  # "\r\n" and a lone "\r" end lines too
+                        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                    self._torn = not block.endswith(b"\n")
+                    for m in lines.finditer(b"\n" + block):
                         try:
-                            found = _record(line)[0]
+                            found = _record(m[1])[0]
                             wants = found in wanted  # an unhashable fingerprint raises
                         except (ValueError, KeyError, TypeError):
-                            bad += 1
+                            if m[2] is None and m[1].strip():
+                                bad += 1  # a store-layout line is skipped silently
                             continue
-                        if wants and newest.get(found, (-1,))[0] < base + start:
-                            newest[found] = (base + start, line)
+                        if wants:
+                            newest[found] = m[1]
         if bad and not self._warned:
             print(f"# cache: skipped {bad} corrupt line(s) in {self.path}", file=sys.stderr)
         self._warned = True
-        self._torn = data[-1:] not in (b"", b"\n")
         for fp in wanted:
-            self._known[fp] = newest.get(fp, (0, None))[1]
+            self._known[fp] = newest.get(fp)
 
     def lookup(self, fp: str, batch=()):
         """The payload of the newest well-formed record for `fp`, or None.

@@ -84,10 +84,8 @@ def _interval(iv) -> dict:
 
 def _read_graph_arg(value: str) -> str:
     if value == "-":
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                return line
+        for code in graph6_codes(sys.stdin):
+            return code
         raise InputError("no graph6 line on stdin")
     return value.strip()
 

@@ -131,8 +131,14 @@ def _slow_layout_bad(lines) -> int:
     return bad
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_lookup_matches_full_parse_oracle(seed, tmp_path, capsys):
+# (seed, batched) cases: a batched case asks its first lookup to answer
+# every key in one pass
+SEEDS = [pytest.param(seed, batched, id=f"{seed}-batched" if batched else str(seed))
+         for batched in (False, True) for seed in range(40)]
+
+
+@pytest.mark.parametrize("seed, batched", SEEDS)
+def test_lookup_matches_full_parse_oracle(seed, batched, tmp_path, capsys):
     rng = random.Random(seed)
     lines, fps = _seeded_lines(rng)
     path = tmp_path / "c.jsonl"
@@ -140,7 +146,11 @@ def test_lookup_matches_full_parse_oracle(seed, tmp_path, capsys):
     expected, _ = oracle_index(path)
     cache = ResultCache(str(path))
     absent = "%032x" % rng.getrandbits(128)
-    for fp in rng.sample(fps, len(fps)) + [absent, "7"]:
+    asked = rng.sample(fps, len(fps)) + [absent, "7", "short-key"]
+    if batched:
+        cache.lookup(asked[0], asked)
+        assert set(asked) <= set(cache._known)
+    for fp in asked:
         assert cache.lookup(fp) == expected.get(fp), fp
     bad = _slow_layout_bad(lines)
     err = capsys.readouterr().err
@@ -151,13 +161,13 @@ def test_lookup_matches_full_parse_oracle(seed, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
-@pytest.mark.parametrize("seed", range(40))
-def test_lookup_matches_the_oracle_across_read_boundaries(seed, block, tmp_path, capsys,
-                                                         monkeypatch):
+@pytest.mark.parametrize("seed, batched", SEEDS)
+def test_lookup_matches_the_oracle_across_read_boundaries(seed, block, batched, tmp_path,
+                                                         capsys, monkeypatch):
     # reads this short make a line, a "\r\n" pair and a 32-byte key each
     # cross a boundary between two reads
     monkeypatch.setattr(cache_module, "_BLOCK", block)
-    test_lookup_matches_full_parse_oracle(seed, tmp_path, capsys)
+    test_lookup_matches_full_parse_oracle(seed, batched, tmp_path, capsys)
 
 
 def test_absent_lookup_holds_a_block_not_the_file(tmp_path):

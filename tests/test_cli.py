@@ -161,6 +161,13 @@ def test_stdin_inputs(monkeypatch, capsys):
     assert len(recs) == 2
 
 
+def test_graph_from_stdin_skips_a_graph6_header(monkeypatch, capsys):
+    # the same stream filter as `--input -`: blank lines and a bare header
+    monkeypatch.setattr(sys, "stdin", io.StringIO(">>graph6<<\n\n" + K4_G6 + "\n"))
+    recs, _ = run_json(["count", "--graph", "-", "-r", "6", "--no-cache"], capsys)
+    assert recs == [{"count": "45936", "graph": K4_G6, "k": 4, "op": "count", "r": 6}]
+
+
 # ---------------------------------------------------------------------------
 # batch mode
 

@@ -20,21 +20,33 @@ def _names(node):
             yield sub.name
 
 
+def _defined(node) -> list:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names an assignment, annotated or not, binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def unreferenced_private_helpers(src=SRC) -> list:
-    """module:name of each module-level `_name` function or class that no
-    code in `src` references outside its own definition."""
+    """module:name of each module-level `_name` function, class or constant
+    that no code in `src` references outside its own definition."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     used = Counter(name for tree in trees.values() for name in _names(tree))
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            if used[name] == Counter(_names(node))[name]:
-                dead.append(f"{module}:{name}")
+            for name in _defined(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if used[name] == Counter(_names(node))[name]:
+                    dead.append(f"{module}:{name}")
     return dead
 
 
@@ -47,10 +59,12 @@ def test_guard_sees_a_helper_used_only_by_itself(tmp_path):
         "def _dead(x):\n    return _dead(x - 1) if x else 0\n\n"
         "def _used():\n    return 1\n\n"
         "class _Shape:\n    pass\n\n"
-        "def public():\n    return _used()\n"
+        "_LIMIT: int = 3\n"
+        "_UNUSED = _LIMIT + 1\n\n"
+        "def public():\n    return _used() + _LIMIT\n"
     )
     (tmp_path / "b.py").write_text("from .a import _Shape\n")
-    assert unreferenced_private_helpers(tmp_path) == ["a:_dead"]
+    assert unreferenced_private_helpers(tmp_path) == ["a:_dead", "a:_UNUSED"]
 
 
 def unused_imports(src=SRC) -> list:
