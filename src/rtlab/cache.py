@@ -43,6 +43,18 @@ def fingerprint(op: str, params: dict, version: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+def _alternation(keys) -> bytes:
+    """A regular expression for exactly the given alphanumeric keys, grouped
+    by first byte as `a(?:bc|bd)|x(?:yz)`: at each position the engine
+    tests one byte per group and tries the keys of one group only, where
+    one flat alternation tries every key.  It matches what the flat one
+    matches, and no key gives "(?!)", which matches nothing."""
+    groups = {}
+    for key in keys:
+        groups.setdefault(key[:1], []).append(key[1:])
+    return b"|".join(b"%s(?:%s)" % (c, b"|".join(rest)) for c, rest in groups.items()) or rb"(?!)"
+
+
 def _record(line: bytes):
     """(fingerprint, payload) of a cache line read as UTF-8 text without
     its surrounding whitespace; raises ValueError, KeyError or TypeError
@@ -60,17 +72,14 @@ class ResultCache:
 
     def _read(self, wanted: set):
         """Answer every fingerprint of `wanted` from one pass over the file."""
-        keys = b"|".join(
+        keys = _alternation(
             fp.encode()
             for fp in wanted
             if isinstance(fp, str) and len(fp) == 32 and fp.isascii() and fp.isalnum()
         )
         # one match per line: group 1 is the line, group 2 the key of a
         # wanted line in the store layout and None for any other layout
-        # ("(?!)" matches nothing when no key is well-formed)
-        lines = re.compile(
-            rb'\n((?:\{"fingerprint":"(%s)"|(?!%s))[^\n]*)' % (keys or rb"(?!)", _LAYOUT)
-        )
+        lines = re.compile(rb'\n((?:\{"fingerprint":"(%s)"|(?!%s))[^\n]*)' % (keys, _LAYOUT))
         newest = {}  # fingerprint -> its newest well-formed line
         bad, self._torn = 0, False
         if os.path.exists(self.path):

@@ -19,9 +19,9 @@ stay indexed by host EdgeId throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .exactmath import EULER_HI, EULER_LO, cmp_value_rpow
 from .graphs import Graph, triangles
@@ -38,24 +38,36 @@ def xi_from_delta(delta) -> Fraction:
     return delta / (300 * EULER_HI ** 6)
 
 
-@dataclass(frozen=True)
-class CleaningConfig:
+class _CleaningFields(NamedTuple):
     r: int
     xi: Fraction
     original_n: int
     priority: tuple = (1, 2)
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi", Fraction(self.xi))
-        if not 0 < self.xi < 1:
+
+class CleaningConfig(_CleaningFields):
+    """The cleaning parameters, checked and coerced on construction: xi
+    becomes a Fraction and priority a tuple.  `_replace` and `_make`
+    construct through the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, r, xi, original_n, priority=(1, 2)):
+        xi = Fraction(xi)
+        if not 0 < xi < 1:
             raise ValueError("xi must satisfy 0 < xi < 1")
-        if self.r < 2:
+        if r < 2:
             raise ValueError("r must be >= 2")
-        if self.original_n < 1:
+        if original_n < 1:
             raise ValueError("original_n must be >= 1")
-        if tuple(self.priority) not in ((1, 2), (2, 1)):
+        priority = tuple(priority)
+        if priority not in ((1, 2), (2, 1)):
             raise ValueError("priority must be (1, 2) or (2, 1)")
-        object.__setattr__(self, "priority", tuple(self.priority))
+        return super().__new__(cls, r, xi, original_n, priority)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def remove_singleton_edges(t: Template) -> Graph:
@@ -154,8 +166,7 @@ def operation2_step(t: Template, cfg: CleaningConfig, alive=None):
     return None, None
 
 
-@dataclass(frozen=True)
-class CleanStep:
+class CleanStep(NamedTuple):
     op: int
     removed: tuple
     n_before: int
@@ -164,8 +175,7 @@ class CleanStep:
     survivors: tuple  # alive vertices after the step: the G_{i+1} snapshot
 
 
-@dataclass(frozen=True)
-class CleaningTrace:
+class CleaningTrace(NamedTuple):
     r: int
     xi: Fraction
     original_n: int
@@ -257,8 +267,7 @@ def trace_to_dict(trace: CleaningTrace) -> dict:
 # count while edge/vertex thresholds n_p^(11/12), n_p^(23/12) use the
 # current one; the asymmetry is deliberate and kept verbatim.
 
-@dataclass(frozen=True)
-class CriticalSets:
+class CriticalSets(NamedTuple):
     triangles: tuple
     edges: tuple
     vertices: tuple
@@ -317,8 +326,7 @@ def supersaturation_bound(n: int, t_close: int, k: int, edge_count: int) -> Frac
 # ---------------------------------------------------------------------------
 # List-size histogram.
 
-@dataclass(frozen=True)
-class ListHistogram:
+class ListHistogram(NamedTuple):
     counts: tuple  # counts[s] = number of edges whose list has size s, s = 0..r
     small: int  # m = m_2 + m_3 + m_4 + m_5
 

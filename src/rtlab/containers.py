@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ DEFAULT_MATERIALIZE_CAP = 10 ** 7
 _BLOCK_ROWS = 2 ** 15
 
 
-@dataclass(frozen=True)
-class RainbowHypergraphStats:
+class RainbowHypergraphStats(NamedTuple):
     vertex_count: int
     edge_count: int
     average_degree: Fraction
@@ -194,8 +193,10 @@ def _selection_rows(masks) -> np.ndarray:
 
 
 def _id_dtype(t: Template):
-    """The row dtype: uint16 while every id fits one."""
-    return np.uint16 if t.graph.edge_count * t.r <= 0xFFFF else np.int64
+    """The row dtype: the narrowest of uint8, uint16 and int64 that holds
+    every id, all below edge_count * r."""
+    top = t.graph.edge_count * t.r
+    return np.uint8 if top <= 256 else np.uint16 if top <= 65536 else np.int64
 
 
 def _k4_rows(t: Template):
@@ -482,8 +483,7 @@ def delta_tau(stats: RainbowHypergraphStats, tau: Fraction) -> Fraction:
     return DELTA_LEAD * total
 
 
-@dataclass(frozen=True)
-class ContainerConstants:
+class ContainerConstants(NamedTuple):
     """Exact handles on the threshold quantities at (n, r):
     epsilon = n^(-1/3) / ((r-1)(r-2)) and tau = sqrt(8640) * 512 * n^(-1/3),
     stored through their radical-free powers."""
@@ -513,8 +513,7 @@ def container_constants(n: int, r: int) -> ContainerConstants:
     return ContainerConstants(n, r, eps3, tau6)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     n: int
     r: int
     vacuous: bool

@@ -41,8 +41,8 @@ and is not formed when 2^q cliques already pass it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import CapExceeded, UnsupportedSizeError
 from .exactmath import falling_factorial, stirling2_row
@@ -258,8 +258,7 @@ def count_colorings(g: Graph, r: int, k: int = 4, work_cap: int = None) -> int:
     return sum(w * falling_factorial(r, j) for j, w in enumerate(weights) if w)
 
 
-@dataclass(frozen=True)
-class PartitionPolynomial:
+class PartitionPolynomial(NamedTuple):
     """coeffs[j-1] = S_j = number of valid j-class partitions of E(g);
     evaluating sum_j S_j r(r-1)...(r-j+1) reproduces count_colorings."""
 
@@ -322,8 +321,7 @@ def brute_force_count(g: Graph, r: int, k: int = 4, cap: int = DEFAULT_ORACLE_CA
     return count
 
 
-@dataclass(frozen=True)
-class BoundsVerdict:
+class BoundsVerdict(NamedTuple):
     """Which lower-bound family dominates asymptotically at (r, k):
     (C(k,2)-1)-colorings of the complete graph versus r-colorings of the
     Turan graph, decided by the exact integer test
@@ -347,8 +345,7 @@ def bounds_compare(r: int, k: int) -> BoundsVerdict:
     return BoundsVerdict(r, k, verdict, clique_side, turan_side)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     n: int
     r: int
     k: int

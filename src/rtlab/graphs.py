@@ -10,8 +10,8 @@ EdgeId, and serialized artifacts rely on it implicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import Graph6ParseError, UnsupportedSizeError
 
@@ -177,8 +177,7 @@ def clique_edge_ids(g: Graph, k: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class ClosenessResult:
+class ClosenessResult(NamedTuple):
     internal_edges: int
     partition: tuple
     exact: bool

@@ -147,12 +147,13 @@ def r_neighborhood(t: Template, v: int) -> int:
 # (203 for the six lists of a K4), whatever the number of colors.  One numpy
 # kernel takes a whole batch of rows, such as every K4 of a template.
 
-# Rows per pass of the Moebius sum, by list count q: as many as keep the
-# widest int64 matrix of a pass, Bell(q) terms or 2^q + 1 list sizes per row,
-# within 1 MiB (645 rows at q = 6), so a pass stays in cache and its memory
-# does not grow with the batch.
+# Rows per pass of the Moebius sum, by list count q: as many as keep a
+# pass's working set within 1 MiB (278 rows at q = 6), so a pass stays in
+# cache and its memory does not grow with the batch.  Per row that is 2^q + 1
+# int64 list sizes, Bell(q) int64 terms and one Bell(q) gather of sizes; the
+# 2^q intersections are freed before the terms exist, and 2^q <= 2 Bell(q).
 _PASS_ROWS = tuple(
-    2 ** 20 // (8 * max(len(SET_PARTITIONS[q]), 2 ** q + 1)) for q in range(7)
+    2 ** 20 // (8 * (2 ** q + 1 + 2 * len(SET_PARTITIONS[q]))) for q in range(7)
 )
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -168,6 +169,30 @@ def test_lookup_matches_the_oracle_across_read_boundaries(seed, block, batched, 
     # cross a boundary between two reads
     monkeypatch.setattr(cache_module, "_BLOCK", block)
     test_lookup_matches_full_parse_oracle(seed, batched, tmp_path, capsys)
+
+
+def test_grouped_keys_match_like_one_flat_alternation(tmp_path):
+    # keys over three characters share long prefixes, fall into few
+    # first-byte groups, and some are prefixes of others
+    rng = random.Random(22)
+    words = lambda: "".join(rng.choice("ab7") for _ in range(rng.randint(1, 8))).encode()
+    keys = list({words() for _ in range(120)})
+    grouped = re.compile(cache_module._alternation(keys))
+    flat = re.compile(b"|".join(keys))
+    text = b" ".join(words() for _ in range(2000))
+    assert [m[0] for m in grouped.finditer(text)] == [m[0] for m in flat.finditer(text)]
+    for probe in keys + [words() for _ in range(2000)]:
+        assert bool(grouped.fullmatch(probe)) == bool(flat.fullmatch(probe)) == (probe in keys)
+    assert not re.search(cache_module._alternation([]), text)
+    # in the cache: stored keys one character apart, asked in one batch
+    # with absent keys that share all but their last character
+    near = ["0" * 30 + a + b for a in "01z" for b in "09aZ"]
+    cache = ResultCache(str(tmp_path / "c.jsonl"))
+    cache.store("count", [(fp, {"n": i}) for i, fp in enumerate(near) if i % 3], "0.1.0")
+    fresh = ResultCache(cache.path)
+    fresh.lookup(near[0], near + ["0" * 31 + "y"])
+    assert [fresh.lookup(fp) for fp in near] == [None if i % 3 == 0 else {"n": i}
+                                                 for i in range(len(near))]
 
 
 def test_absent_lookup_holds_a_block_not_the_file(tmp_path):

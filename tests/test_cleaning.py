@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -314,15 +313,15 @@ def test_verify_trace_rejects_tampering(k6):
     assert not verify_trace(t, cfg, tampered)
 
     def with_first_step(**changes):
-        steps = (dataclasses.replace(trace.steps[0], **changes),) + trace.steps[1:]
-        return dataclasses.replace(trace, steps=steps)
+        steps = (trace.steps[0]._replace(**changes),) + trace.steps[1:]
+        return trace._replace(steps=steps)
 
     witness = dict(s.witness, list_product="2")
     assert not verify_trace(t, cfg, with_first_step(witness=witness))
     assert not verify_trace(t, cfg, with_first_step(survivors=s.survivors[1:]))
-    assert not verify_trace(t, cfg, dataclasses.replace(trace, stop_reason="no operation applicable"))
-    assert not verify_trace(t, cfg, dataclasses.replace(trace, priority=(2, 1)))
-    assert verify_trace(t, cfg, dataclasses.replace(trace))
+    assert not verify_trace(t, cfg, trace._replace(stop_reason="no operation applicable"))
+    assert not verify_trace(t, cfg, trace._replace(priority=(2, 1)))
+    assert verify_trace(t, cfg, trace._replace())
     # a config that does not fit the template is refused, as by clean
     with pytest.raises(ValueError):
         verify_trace(t, CleaningConfig(r=11, xi=XI, original_n=6), trace)
@@ -338,6 +337,27 @@ def test_clean_validates_config(k4):
         CleaningConfig(r=12, xi=Fraction(3, 2), original_n=4)
     with pytest.raises(ValueError):
         CleaningConfig(r=12, xi=XI, original_n=4, priority=(1, 1))
+
+
+def test_cleaning_config_coerces_and_checks_every_construction():
+    cfg = CleaningConfig(12, "1/3", 4, [2, 1])
+    assert cfg == (12, Fraction(1, 3), 4, (2, 1))
+    assert type(cfg.xi) is Fraction and type(cfg.priority) is tuple
+    assert repr(cfg) == "CleaningConfig(r=12, xi=Fraction(1, 3), original_n=4, priority=(2, 1))"
+    assert CleaningConfig(r=12, xi=XI, original_n=4).priority == (1, 2)
+    for bad in ({"xi": 0}, {"xi": 1}, {"r": 1}, {"original_n": 0}, {"priority": (2, 2)}):
+        with pytest.raises(ValueError):
+            CleaningConfig(**{"r": 12, "xi": XI, "original_n": 4, **bad})
+        with pytest.raises(ValueError):  # _replace and _make take the same checks
+            cfg._replace(**bad)
+    with pytest.raises(ValueError):
+        CleaningConfig._make((12, 2, 4, (1, 2)))
+    moved = cfg._replace(xi=0.5, priority=[1, 2])
+    assert type(moved) is CleaningConfig and moved == (12, Fraction(1, 2), 4, (1, 2))
+    with pytest.raises(AttributeError):
+        cfg.xi = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        cfg.other = 1
 
 
 def test_xi_from_delta_is_certified_lower_bound():

@@ -1,10 +1,20 @@
 """Source hygiene: every private module-level helper in `src/rtlab` is used
-by the program itself, not only by the tests, and every module-level import
-is read by its module."""
+by the program itself, not only by the tests, every module-level import
+is read by its module, and the result records are NamedTuples, not
+dataclasses."""
 
 import ast
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from rtlab.cleaning import CleaningConfig, clean, critical_sets, list_size_histogram
+from rtlab.containers import build_rainbow_hypergraph, container_constants, container_hypothesis_check
+from rtlab.counting import bounds_compare, partition_polynomial, rho_max_search
+from rtlab.graphs import closeness_to_kpartite, complete_graph
+from rtlab.templates import from_coloring
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtlab"
 
@@ -102,3 +112,67 @@ def test_guard_sees_an_import_nothing_reads(tmp_path):
         "def public(x: Fraction):\n    return js.dumps(os.path.sep)\n"
     )
     assert unused_imports(tmp_path) == ["a:gcd"]
+
+
+def dataclass_imports(src=SRC) -> list:
+    """module:line of each import of `dataclasses`, at any depth."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # each frozen dataclass generated its methods with `exec` at import, on
+    # every `rtl` call; as NamedTuples the records halve rtlab's own import
+    # time (11.7 -> 5.8 ms, min of 15 with cached bytecode, 2-CPU VM)
+    assert dataclass_imports() == []
+
+
+def test_guard_sees_a_dataclass_import(tmp_path):
+    (tmp_path / "a.py").write_text("import os\n\ndef f():\n    import dataclasses\n")
+    (tmp_path / "b.py").write_text("from dataclasses import dataclass, field\n")
+    assert dataclass_imports(tmp_path) == ["a:4", "b:1"]
+
+
+def _records() -> list:
+    """One record of each result type, as the library builds them."""
+    t = from_coloring(complete_graph(6), [1] * 15, 12)
+    trace = clean(t, CleaningConfig(r=12, xi=Fraction(1, 100), original_n=6))
+    k4 = complete_graph(4)
+    return [
+        CleaningConfig(r=12, xi=Fraction(1, 100), original_n=6),
+        trace.steps[0],
+        trace,
+        critical_sets(t),
+        list_size_histogram(t),
+        build_rainbow_hypergraph(t)[0],
+        container_constants(10, 12),
+        container_hypothesis_check(10, 12),
+        partition_polynomial(k4),
+        bounds_compare(12, 4),
+        rho_max_search(4, 6),
+        closeness_to_kpartite(k4, 3),
+    ]
+
+
+@pytest.mark.parametrize("rec", _records(), ids=lambda rec: type(rec).__name__)
+def test_records_are_immutable_named_tuples(rec):
+    first = rec._fields[0]
+    assert isinstance(rec, tuple)
+    assert repr(rec).startswith(f"{type(rec).__name__}({first}=")
+    with pytest.raises(AttributeError):
+        setattr(rec, first, getattr(rec, first))
+    with pytest.raises(AttributeError):
+        rec.other = 1
+    again = rec._replace(**{first: getattr(rec, first)})
+    assert type(again) is type(rec) and again == rec
+    assert type(rec)(**rec._asdict()) == rec
