@@ -7,6 +7,9 @@ diagnostics such as cache hits go to stderr so stdout stays byte-identical
 across runs and worker counts.
 
 Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
+
+cleaning, counting and cache are imported inside the functions that call
+them, so a command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -21,16 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cache import ResultCache, fingerprint
-from .cleaning import (
-    CleaningConfig,
-    clean,
-    critical_sets,
-    list_size_histogram,
-    supersaturation_interval,
-    trace_to_dict,
-    xi_from_delta,
-)
+# eager, numpy with it: bench/run.py::import_times needs numpy in `import rtlab.cli`
 from .containers import (
     C_ELL_BOUND,
     DEFAULT_MATERIALIZE_CAP,
@@ -39,14 +33,7 @@ from .containers import (
     hypothesis_flags,
     min_n_for_container,
 )
-from .counting import (
-    DEFAULT_WORK_CAP,
-    bounds_compare,
-    count_colorings,
-    partition_polynomial,
-    rho_max_search,
-)
-from .errors import CapExceeded, Graph6ParseError
+from .errors import DEFAULT_WORK_CAP, CapExceeded, Graph6ParseError
 from .graphs import (
     cliques,
     closeness_to_kpartite,
@@ -127,11 +114,15 @@ def _parse_fraction(text: str) -> Fraction:
 # worker counts, which never change a result, are bound beforehand.
 
 def _payload_count(p, *, work_cap):
+    from .counting import count_colorings
+
     count = count_colorings(parse_graph6(p["graph"]), p["r"], p["k"], work_cap=work_cap)
     return {"op": "count", **p, "count": str(count)}
 
 
 def _payload_poly(p, *, work_cap):
+    from .counting import partition_polynomial
+
     g = parse_graph6(p["graph"])
     poly = partition_polynomial(g, p["k"], work_cap=work_cap)
     return {"op": "poly", **p, "edges": g.edge_count, "coefficients": [str(c) for c in poly.coeffs]}
@@ -173,6 +164,8 @@ def _payload_container_stats(p, *, materialize_cap):
 
 
 def _payload_template_stats(p):
+    from .cleaning import list_size_histogram
+
     t = template_from_json(p["template"])
     hist = list_size_histogram(t)
     return {
@@ -187,6 +180,8 @@ def _payload_template_stats(p):
 
 
 def _payload_search(p, *, workers, work_cap):
+    from .counting import rho_max_search
+
     graphs = None if p["input"] is None else [parse_graph6(code) for code in p["input"]]
     report = rho_max_search(
         p["n"], p["r"], p["k"], graphs=graphs, workers=workers, work_cap=work_cap
@@ -222,16 +217,22 @@ def _payload_container_threshold(p):
     }
 
 
-def _clean_config(t: Template, p) -> CleaningConfig:
+def _clean_config(t: Template, p):
+    from .cleaning import CleaningConfig
+
     return CleaningConfig(r=t.r, xi=p["xi"], original_n=t.graph.n, priority=p["priority"])
 
 
 def _payload_clean(p):
+    from .cleaning import clean, trace_to_dict
+
     t = template_from_json(p["template"])
     return {"op": "clean", **trace_to_dict(clean(t, _clean_config(t, p)))}
 
 
 def _payload_critical(p):
+    from .cleaning import critical_sets
+
     cs = critical_sets(template_from_json(p["template"]), original_n=p["original_n"])
     return {
         "op": "critical",
@@ -244,6 +245,8 @@ def _payload_critical(p):
 
 
 def _payload_supersat(p):
+    from .cleaning import supersaturation_interval
+
     iv = supersaturation_interval(p["n"], p["t"], p["k"], p["e"])
     return {
         "op": "supersat",
@@ -284,9 +287,11 @@ def _emit(records, fmt: str):
     sys.stdout.write(buf.getvalue())
 
 
-def _cache_from_args(args) -> ResultCache:
+def _cache_from_args(args):
     if args.no_cache:
         return None
+    from .cache import ResultCache
+
     path = args.cache or os.environ.get("RTL_CACHE") or os.path.expanduser(DEFAULT_CACHE)
     return ResultCache(path)
 
@@ -299,6 +304,8 @@ def _run_batch(op: str, params, build, cache, workers: int):
     fingerprint are looked up, computed and stored once; the first lookup
     reads the records of the whole batch, and its new records are appended
     together."""
+    from .cache import fingerprint
+
     fps = [fingerprint(op, p, __version__) for p in params]
     distinct = set(fps)
     payloads = {}
@@ -384,6 +391,8 @@ def _cmd_clean(args, cache):
     if args.xi is not None:
         xi = _parse_fraction(args.xi)
     elif args.delta is not None:
+        from .cleaning import xi_from_delta
+
         xi = xi_from_delta(_parse_fraction(args.delta))
     else:
         raise InputError("need --xi or --delta")
@@ -402,6 +411,8 @@ def _cmd_critical(args, cache):
 
 
 def _cmd_bounds_compare(args, cache):
+    from .counting import bounds_compare
+
     verdict = bounds_compare(args.r, args.k)
     return [
         {

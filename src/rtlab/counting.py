@@ -44,7 +44,7 @@ import itertools
 from math import comb, factorial
 from typing import NamedTuple
 
-from .errors import CapExceeded, UnsupportedSizeError
+from .errors import DEFAULT_WORK_CAP, CapExceeded, UnsupportedSizeError
 from .exactmath import falling_factorial, stirling2_row
 from .graphs import (
     Graph,
@@ -56,7 +56,6 @@ from .graphs import (
 )
 
 DEFAULT_ORACLE_CAP = 10 ** 9
-DEFAULT_WORK_CAP = 10 ** 8  # inclusion-exclusion leaves; refuses K6 and K6-e
 
 
 def _blocks(g: Graph, k: int):

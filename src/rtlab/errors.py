@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the default work cap, which the command line
+reads without importing counting."""
+
+DEFAULT_WORK_CAP = 10 ** 8  # inclusion-exclusion leaves; refuses K6 and K6-e
 
 
 class CapExceeded(RuntimeError):

@@ -636,3 +636,49 @@ def test_single_count_runs_in_one_process():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["count"] == str(count_colorings(complete_graph(5), 12))
+
+
+# run `rtl ARGV` as the console script does, then list the loaded modules on
+# stderr's last line
+_LOAD_SET = (
+    "import atexit, json, runpy, sys; "
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr)); "
+    "runpy.run_module('rtlab.cli', run_name='__main__')"
+)
+
+
+def _loaded(argv, tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_SET, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, RTL_CACHE=str(tmp_path / "c.jsonl")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    *diagnostics, modules = proc.stderr.splitlines()
+    return set(json.loads(modules)), diagnostics
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    # numpy, because bench/run.py::import_times reads its line from `import rtlab.cli`
+    (["--version"], {"numpy"}, {"rtlab.cleaning", "rtlab.counting", "rtlab.cache"}),
+    (["count", "--graph", "C~", "-r", "6", "--no-cache"], {"rtlab.counting"}, {"rtlab.cleaning"}),
+    (["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", "15", "--no-cache"], {"rtlab.cleaning"},
+     {"rtlab.counting"}),
+], ids=["version", "count", "supersat"])
+def test_command_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path):
+    loaded, _ = _loaded(argv, tmp_path)
+    assert loads <= loaded
+    assert not skips & loaded
+
+
+def test_cache_hit_loads_no_compute_module(tmp_path):
+    argv = ["count", "--graph", "C~", "-r", "6"]
+    loaded, diagnostics = _loaded(argv, tmp_path)
+    assert "rtlab.counting" in loaded and diagnostics == []
+    loaded, diagnostics = _loaded(argv, tmp_path)
+    assert diagnostics[0].startswith("# cache hit ")
+    assert "rtlab.cache" in loaded
+    assert not {"rtlab.counting", "rtlab.cleaning"} & loaded

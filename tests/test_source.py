@@ -1,6 +1,6 @@
 """Source hygiene: every private module-level helper in `src/rtlab` is used
-by the program itself, not only by the tests, every module-level import
-is read by its module, and the result records are NamedTuples, not
+by the program itself, not only by the tests, every import is read in
+its module or function, and the result records are NamedTuples, not
 dataclasses."""
 
 import ast
@@ -77,24 +77,33 @@ def test_guard_sees_a_helper_used_only_by_itself(tmp_path):
     assert unreferenced_private_helpers(tmp_path) == ["a:_dead", "a:_UNUSED"]
 
 
+def _imports(node, scope):
+    """(scope, import) for each import statement under `node`, in source
+    order; the scope is the innermost function around it, else `scope`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _imports(child, inner)
+
+
 def unused_imports(src=SRC) -> list:
-    """module:name of each name a module-level import binds that nothing else
-    in the module reads; `__init__` (re-exports) and `from __future__` are
-    exempt."""
+    """module:name of each name an import binds that nothing reads in its
+    scope: the module for a module-level import, the function for one inside
+    a function.  `__init__` (re-exports) and `from __future__` are exempt."""
     unused = []
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
+        for scope, node in _imports(tree, tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in read:
-                        unused.append(f"{path.stem}:{bound}")
+            read = {sub.id for sub in ast.walk(scope) if isinstance(sub, ast.Name)}
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{path.stem}:{bound}")
     return unused
 
 
@@ -109,9 +118,13 @@ def test_guard_sees_an_import_nothing_reads(tmp_path):
         "import os.path\n"
         "import json as js\n"
         "from fractions import Fraction, gcd\n\n"
-        "def public(x: Fraction):\n    return js.dumps(os.path.sep)\n"
+        "def public(x: Fraction):\n    return js.dumps(os.path.sep)\n\n"
+        "def lazy(flag):\n    from math import comb, isqrt\n"
+        "    if flag:\n        import re\n        return re.escape(flag)\n    return comb(4, 2)\n\n"
+        "def other():\n    return isqrt(4)\n"
     )
-    assert unused_imports(tmp_path) == ["a:gcd"]
+    # isqrt is read, but not in the function that imports it
+    assert unused_imports(tmp_path) == ["a:gcd", "a:isqrt"]
 
 
 def dataclass_imports(src=SRC) -> list:
