@@ -19,12 +19,21 @@ parse are skipped with one warning and never fatal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import sys
 import time
+
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib loads
+# OpenSSL, a few MB and ms for one digest.  The digest bytes are the same.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _BLOCK = 1 << 16  # bytes per read of a pass over the file
 
@@ -40,7 +49,7 @@ def fingerprint(op: str, params: dict, version: str) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
+    return sha256(blob.encode()).hexdigest()[:32]
 
 
 def _alternation(keys) -> bytes:

@@ -8,8 +8,11 @@ across runs and worker counts.
 
 Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
 
-cleaning, counting and cache are imported inside the functions that call
-them, so a command loads only the modules it runs.
+cache, cleaning, counting, graphs and templates are imported inside the
+functions that call them, so a command loads only the modules it runs:
+`--version` loads containers, errors and numpy; a `count` hit adds cache,
+and a miss counting, graphs and exactmath.  Cache keys are SHA-256 from
+CPython's built-in module, so no command loads hashlib or OpenSSL.
 """
 
 from __future__ import annotations
@@ -34,21 +37,8 @@ from .containers import (
     min_n_for_container,
 )
 from .errors import DEFAULT_WORK_CAP, CapExceeded, Graph6ParseError
-from .graphs import (
-    cliques,
-    closeness_to_kpartite,
-    count_cliques,
-    graph6_codes,
-    parse_graph6,
-    write_graph6,
-)
-from .templates import (
-    Template,
-    complete_template,
-    count_rainbow_copies,
-    template_from_json,
-    template_to_json,
-)
+
+# the annotation `Template` is templates.Template, never evaluated
 
 DEFAULT_CACHE = os.path.join("~", ".cache", "rtl", "results.jsonl")
 
@@ -71,6 +61,8 @@ def _interval(iv) -> dict:
 
 def _read_graph_arg(value: str) -> str:
     if value == "-":
+        from .graphs import graph6_codes
+
         for code in graph6_codes(sys.stdin):
             return code
         raise InputError("no graph6 line on stdin")
@@ -88,17 +80,23 @@ def _read_text(path: str) -> str:
 
 
 def _read_stream(path: str) -> list:
+    from .graphs import graph6_codes
+
     return list(graph6_codes(_read_text(path).splitlines()))
 
 
-def _load_template(path: str) -> Template:
+def _load_template(path: str) -> tuple:
+    """The template at `path` and its canonical JSON, which keys its records."""
+    from .templates import template_from_json, template_to_json
+
     text = _read_text(path)
     try:
-        return template_from_json(text)
+        t = template_from_json(text)
     except Graph6ParseError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad template JSON: {exc}") from exc
+    return t, template_to_json(t)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -115,6 +113,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _payload_count(p, *, work_cap):
     from .counting import count_colorings
+    from .graphs import parse_graph6
 
     count = count_colorings(parse_graph6(p["graph"]), p["r"], p["k"], work_cap=work_cap)
     return {"op": "count", **p, "count": str(count)}
@@ -122,6 +121,7 @@ def _payload_count(p, *, work_cap):
 
 def _payload_poly(p, *, work_cap):
     from .counting import partition_polynomial
+    from .graphs import parse_graph6
 
     g = parse_graph6(p["graph"])
     poly = partition_polynomial(g, p["k"], work_cap=work_cap)
@@ -129,6 +129,8 @@ def _payload_poly(p, *, work_cap):
 
 
 def _payload_cliques(p):
+    from .graphs import cliques, count_cliques, parse_graph6
+
     g = parse_graph6(p["graph"])
     payload = {"op": "cliques", "graph": p["graph"], "k": p["k"], "count": str(count_cliques(g, p["k"]))}
     if p["list"]:
@@ -137,6 +139,8 @@ def _payload_cliques(p):
 
 
 def _payload_closeness(p):
+    from .graphs import closeness_to_kpartite, parse_graph6
+
     res = closeness_to_kpartite(parse_graph6(p["graph"]), p["k"], exact_cap=p["exact_cap"])
     return {
         "op": "closeness",
@@ -149,6 +153,9 @@ def _payload_closeness(p):
 
 
 def _payload_container_stats(p, *, materialize_cap):
+    from .graphs import parse_graph6
+    from .templates import complete_template
+
     t = complete_template(parse_graph6(p["graph"]), p["r"])
     stats, _rows = build_rainbow_hypergraph(t, materialize=p["materialize"], cap=materialize_cap)
     return {
@@ -165,6 +172,8 @@ def _payload_container_stats(p, *, materialize_cap):
 
 def _payload_template_stats(p):
     from .cleaning import list_size_histogram
+    from .graphs import write_graph6
+    from .templates import count_rainbow_copies, template_from_json
 
     t = template_from_json(p["template"])
     hist = list_size_histogram(t)
@@ -181,6 +190,7 @@ def _payload_template_stats(p):
 
 def _payload_search(p, *, workers, work_cap):
     from .counting import rho_max_search
+    from .graphs import parse_graph6
 
     graphs = None if p["input"] is None else [parse_graph6(code) for code in p["input"]]
     report = rho_max_search(
@@ -225,6 +235,7 @@ def _clean_config(t: Template, p):
 
 def _payload_clean(p):
     from .cleaning import clean, trace_to_dict
+    from .templates import template_from_json
 
     t = template_from_json(p["template"])
     return {"op": "clean", **trace_to_dict(clean(t, _clean_config(t, p)))}
@@ -232,6 +243,7 @@ def _payload_clean(p):
 
 def _payload_critical(p):
     from .cleaning import critical_sets
+    from .templates import template_from_json
 
     cs = critical_sets(template_from_json(p["template"]), original_n=p["original_n"])
     return {
@@ -361,9 +373,9 @@ def _cmd_keyed(args, cache):
 
 
 def _cmd_graphs(args, cache):
-    if args.input:
+    if args.input is not None:
         codes = _read_stream(args.input)
-    elif args.graph:
+    elif args.graph is not None:
         codes = [_read_graph_arg(args.graph)]
     else:
         raise InputError("need --graph or --input")
@@ -372,7 +384,7 @@ def _cmd_graphs(args, cache):
 
 def _cmd_search(args, cache):
     # a repeated code is one class, so it is left out of the key as well
-    codes = list(dict.fromkeys(_read_stream(args.input))) if args.input else None
+    codes = None if args.input is None else list(dict.fromkeys(_read_stream(args.input)))
     records = _batch(args, [{**_keyed(args), "input": codes}], cache)
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:
@@ -382,12 +394,12 @@ def _cmd_search(args, cache):
 
 
 def _cmd_template_stats(args, cache):
-    t = _load_template(args.template)
-    return _batch(args, [{"template": template_to_json(t)}], cache)
+    _, text = _load_template(args.template)
+    return _batch(args, [{"template": text}], cache)
 
 
 def _cmd_clean(args, cache):
-    t = _load_template(args.template)
+    t, text = _load_template(args.template)
     if args.xi is not None:
         xi = _parse_fraction(args.xi)
     elif args.delta is not None:
@@ -397,17 +409,17 @@ def _cmd_clean(args, cache):
     else:
         raise InputError("need --xi or --delta")
     priority = [int(x) for x in args.priority.split(",")]
-    params = {"template": template_to_json(t), "xi": str(xi), "priority": priority}
+    params = {"template": text, "xi": str(xi), "priority": priority}
     _clean_config(t, params)  # refuse a bad xi or template before the cache is read
     return _batch(args, [params], cache)
 
 
 def _cmd_critical(args, cache):
-    t = _load_template(args.template)
+    t, text = _load_template(args.template)
     original_n = t.graph.n if args.original_n is None else args.original_n
     if original_n < 1:
         raise ValueError("original_n must be >= 1")
-    return _batch(args, [{"template": template_to_json(t), "original_n": original_n}], cache)
+    return _batch(args, [{"template": text, "original_n": original_n}], cache)
 
 
 def _cmd_bounds_compare(args, cache):

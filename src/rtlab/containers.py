@@ -24,23 +24,16 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, perm
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded
-from .exactmath import (
-    cbrt_interval,
-    falling_factorial,
-    iv_div,
-    iv_exact,
-    iv_mul,
-    ln_interval,
-    sqrt_interval,
-)
-from .graphs import clique_edge_ids, triangles
-from .templates import Template, count_distinct_choices, count_rainbow_copies, k4_rainbow_copies
+
+# graphs, templates and exactmath are imported inside the functions that
+# call them, so a command that never reaches them does not load them; the
+# annotation `Template` is templates.Template, never evaluated.
 
 ELL = 6
 # weights of the co-degree functional at uniformity 6: leading 2^14 with
@@ -94,7 +87,7 @@ def is_complete_on_complete_host(t: Template) -> bool:
 # Structural path (complete template on K_n): exact case analysis.
 
 def structural_edge_count(n: int, r: int) -> int:
-    return falling_factorial(r, 6) * comb(n, 4)
+    return perm(r, 6) * comb(n, 4)
 
 
 def structural_average_degree(n: int, r: int) -> Fraction:
@@ -118,9 +111,9 @@ def _full_list_codegrees(m3: int, r: int) -> tuple:
     if m3 < 1 or r < 6:
         return (0, 0, 0, 0, 0)
     return (
-        m3 * falling_factorial(r - 2, 4),
-        m3 * falling_factorial(r - 3, 3),
-        falling_factorial(r - 4, 2),
+        m3 * perm(r - 2, 4),
+        m3 * perm(r - 3, 3),
+        perm(r - 4, 2),
         r - 5,
         1,
     )
@@ -134,6 +127,8 @@ def structural_max_codegrees(n: int, r: int) -> tuple:
 
 def _most_k4s_on_a_triangle(g) -> int:
     """m3: the largest number of K4s through one triangle of g (0 if none)."""
+    from .graphs import triangles
+
     return max(
         (bin(g.adj[a] & g.adj[b] & g.adj[c]).count("1") for a, b, c in triangles(g)), default=0
     )
@@ -164,7 +159,7 @@ def structural_codegree(t: Template, pairs) -> int:
         hosts = g.n - 3
     else:
         return 0  # < 2 distinct edges cannot happen with q >= 2
-    return hosts * falling_factorial(r - q, 6 - q)
+    return hosts * perm(r - q, 6 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +196,8 @@ def _id_dtype(t: Template):
 
 def _k4_rows(t: Template):
     """The rows of each host K4 in turn, in `cliques(g, 4)` order."""
+    from .graphs import clique_edge_ids
+
     r, dtype = t.r, _id_dtype(t)
     for eids in clique_edge_ids(t.graph, 4):
         offsets = np.array([e * r for e in eids], dtype=dtype)
@@ -228,6 +225,8 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
     id = edge_id * r + (color - 1), K4 by K4 in lexicographic vertex order.
     A K4's edge ids ab, ac, ..., cd of its sorted vertices ascend and every
     colour is below r, so each row is increasing as written."""
+    from .templates import count_rainbow_copies
+
     total = count_rainbow_copies(t)
     if total > cap:
         raise CapExceeded(
@@ -389,6 +388,9 @@ def codegree(t: Template, pairs) -> int:
     """Exact co-degree of a set of (edge_id, color) pairs: the number of
     rainbow copies containing all of them.  Works on any template by
     counting distinct-color completions inside each containing K4."""
+    from .graphs import clique_edge_ids
+    from .templates import count_distinct_choices
+
     pairs = sorted(set(pairs))
     q = len(pairs)
     if not 2 <= q <= 6:
@@ -440,6 +442,8 @@ def build_rainbow_hypergraph(
     cap, co-degrees cannot be computed: stats_only returns them as None,
     otherwise the call refuses.
     """
+    from .templates import count_rainbow_copies, k4_rainbow_copies
+
     nv = t.graph.edge_count * t.r
     ne = count_rainbow_copies(t)
     avg = Fraction(ELL * ne, nv) if nv else Fraction(0)
@@ -494,10 +498,14 @@ class ContainerConstants(NamedTuple):
     tau_sixth: Fraction
 
     def epsilon_interval(self, digits: int) -> tuple:
+        from .exactmath import cbrt_interval, iv_div, iv_exact
+
         cr = cbrt_interval(Fraction(self.n), digits)
         return iv_div(iv_exact(Fraction(1, (self.r - 1) * (self.r - 2))), cr)
 
     def tau_interval(self, digits: int) -> tuple:
+        from .exactmath import cbrt_interval, iv_div, iv_exact, iv_mul, sqrt_interval
+
         s = sqrt_interval(Fraction(TAU_RADICAND), digits)
         cr = cbrt_interval(Fraction(self.n), digits)
         return iv_div(iv_mul(iv_exact(TAU_FACTOR), s), cr)
@@ -562,6 +570,8 @@ def container_hypothesis_check(n: int, r: int) -> HypothesisReport:
     """Evaluate both container hypothesis conditions for the complete
     template on K_n: tau below its threshold (n > N_TAU) and the co-degree
     functional below epsilon / (12 * 6!)."""
+    from .exactmath import iv_exact, iv_mul, ln_interval
+
     cc = container_constants(n, r)
     vacuous, tau_ok, delta_ok = hypothesis_flags(n, r)
     eps = cc.epsilon_interval(INTERVAL_DIGITS)
@@ -582,28 +592,13 @@ def container_hypothesis_check(n: int, r: int) -> HypothesisReport:
     }
     if tau[1] < 1 and eps[1] < 1:
         # reported size of the container-family exponent:
-        # c * N * tau * ln(1/eps) * ln(1/tau)
+        # c * N * tau * ln(1/eps) * ln(1/tau), where ln(1/x) for x in
+        # [lo, hi] lies in [-ln(hi), -ln(lo)]
+        ln_inv = [(-ln_interval(hi)[1], -ln_interval(lo)[0]) for lo, hi in (eps, tau)]
         nv = r * comb(n, 2)
-        ln_inv_eps = _ln_inverse_interval(eps)
-        ln_inv_tau = _ln_inverse_interval(tau)
-        expo = iv_mul(
-            iv_mul(iv_exact(C_ELL_BOUND * nv), tau), iv_mul(ln_inv_eps, ln_inv_tau)
-        )
+        expo = iv_mul(iv_mul(iv_exact(C_ELL_BOUND * nv), tau), iv_mul(*ln_inv))
         details["conclusion_exponent"] = expo
-    return HypothesisReport(
-        n=n,
-        r=r,
-        vacuous=vacuous,
-        tau_ok=tau_ok,
-        delta_ok=delta_ok,
-        passes=tau_ok and delta_ok,
-        details=details,
-    )
-
-
-def _ln_inverse_interval(x: tuple) -> tuple:
-    lo, hi = ln_interval(x[0]), ln_interval(x[1])
-    return -hi[1], -lo[0]
+    return HypothesisReport(n, r, vacuous, tau_ok, delta_ok, tau_ok and delta_ok, details)
 
 
 def min_n_for_container(r: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,6 +6,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtlab import cache as cache_module
 from rtlab import cli
@@ -305,6 +308,26 @@ def test_index_stays_unloaded_until_the_first_read(tmp_path, monkeypatch):
     assert cache.lookup("a" * 32) == {}
     assert cache.lookup("b" * 32) is None
     assert opened == ["ab", "rb"]  # the first lookup reads the file, once
+
+
+# JSON values as parameters hold them, and more: unicode, nesting, ints past
+# 64 bits, and empty strings, lists and dicts.
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 200), 2 ** 200) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(), st.dictionaries(st.text(), _VALUES, max_size=5), st.text())
+def test_fingerprint_is_hashlib_sha256_of_the_key(op, params, version):
+    # the key's digest comes from CPython's built-in module; it must be the
+    # bytes hashlib gives, or every stored record stops matching
+    blob = json.dumps(
+        {"op": op, "params": params, "version": version}, sort_keys=True, separators=(",", ":")
+    )
+    assert fingerprint(op, params, version) == hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
 # Lines as the previous release's `store` wrote them.

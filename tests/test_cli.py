@@ -521,6 +521,24 @@ def test_missing_graph_input_is_parse_error(capsys):
     assert code == 4
 
 
+def test_empty_graph_is_a_graph6_error_not_a_missing_one(capsys):
+    code, out, err = run_cli(["count", "--graph", "", "-r", "6"], capsys)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "parse-error", "message": "empty graph6 string (byte offset 0)"
+    }
+
+
+@pytest.mark.parametrize("argv", [["count", "-r", "6"], ["search", "-n", "4", "-r", "6"]],
+                         ids=["count", "search"])
+def test_empty_input_path_is_a_read_error(argv, capsys):
+    # an empty path is a path that cannot be read, not a missing --input
+    code, out, err = run_cli([*argv, "--input", ""], capsys)
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "parse-error" and error["message"].startswith("cannot read : ")
+
+
 def test_template_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"graph\": \"C~\", \"r\": 6}")
@@ -661,24 +679,39 @@ def _loaded(argv, tmp_path):
     return set(json.loads(modules)), diagnostics
 
 
+# a keyed command hashes its key with CPython's built-in SHA-256 (_sha2 on
+# 3.12+, _sha256 before), never through hashlib, which loads OpenSSL
+_BUILTIN_SHA = {"_sha2", "_sha256"}
+_OPENSSL = {"hashlib", "_hashlib"}
+
+
 @pytest.mark.parametrize("argv, loads, skips", [
     # numpy, because bench/run.py::import_times reads its line from `import rtlab.cli`
-    (["--version"], {"numpy"}, {"rtlab.cleaning", "rtlab.counting", "rtlab.cache"}),
-    (["count", "--graph", "C~", "-r", "6", "--no-cache"], {"rtlab.counting"}, {"rtlab.cleaning"}),
+    (["--version"], {"numpy", "rtlab.containers", "rtlab.errors"},
+     {"rtlab.cleaning", "rtlab.counting", "rtlab.cache", "rtlab.graphs", "rtlab.templates",
+      "rtlab.exactmath", *_OPENSSL}),
+    (["count", "--graph", "C~", "-r", "6", "--no-cache"],
+     {"rtlab.counting", "rtlab.graphs", "rtlab.exactmath"},
+     {"rtlab.cleaning", "rtlab.templates", *_OPENSSL}),
     (["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", "15", "--no-cache"], {"rtlab.cleaning"},
-     {"rtlab.counting"}),
+     {"rtlab.counting", *_OPENSSL}),
 ], ids=["version", "count", "supersat"])
 def test_command_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path):
     loaded, _ = _loaded(argv, tmp_path)
     assert loads <= loaded
     assert not skips & loaded
+    if argv != ["--version"]:  # keyed; stdlib `random` may load _sha2 on any call
+        assert _BUILTIN_SHA & loaded
 
 
 def test_cache_hit_loads_no_compute_module(tmp_path):
     argv = ["count", "--graph", "C~", "-r", "6"]
     loaded, diagnostics = _loaded(argv, tmp_path)
     assert "rtlab.counting" in loaded and diagnostics == []
+    assert _BUILTIN_SHA & loaded and not _OPENSSL & loaded
     loaded, diagnostics = _loaded(argv, tmp_path)
     assert diagnostics[0].startswith("# cache hit ")
-    assert "rtlab.cache" in loaded
-    assert not {"rtlab.counting", "rtlab.cleaning"} & loaded
+    assert {"rtlab.cache", "rtlab.containers", "rtlab.errors", "numpy"} <= loaded
+    assert _BUILTIN_SHA & loaded
+    assert not {"rtlab.counting", "rtlab.cleaning", "rtlab.graphs", "rtlab.templates",
+                "rtlab.exactmath", *_OPENSSL} & loaded
