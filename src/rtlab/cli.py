@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
 cache, cleaning, counting, graphs and templates are imported inside the
 functions that call them, so a command loads only the modules it runs:
 `--version` loads containers, errors and numpy; a `count` hit adds cache,
-and a miss counting, graphs and exactmath.  Cache keys are SHA-256 from
+and a miss counting and graphs.  Cache keys are SHA-256 from
 CPython's built-in module, so no command loads hashlib or OpenSSL.
 """
 

@@ -134,32 +134,40 @@ def _most_k4s_on_a_triangle(g) -> int:
     )
 
 
+def _pair_set(t: Template, pairs):
+    """(sorted distinct pairs, their colour mask) of a co-degree query, or
+    None when two pairs share an edge or a colour.  Raises ValueError
+    unless there are 2..6 pairs on host edges with colours 1..r."""
+    pairs = sorted(set(pairs))
+    if not 2 <= len(pairs) <= 6:
+        raise ValueError("co-degree sets have 2..6 pairs")
+    used = 0
+    for e, c in pairs:
+        if not 0 <= e < t.graph.edge_count:
+            raise ValueError(f"edge id {e} out of range")
+        if not 1 <= c <= t.r:
+            raise ValueError(f"color {c} outside 1..{t.r}")
+        used |= 1 << (c - 1)
+    if used.bit_count() < len(pairs) or len({e for e, _ in pairs}) < len(pairs):
+        return None
+    return pairs, used
+
+
 def structural_codegree(t: Template, pairs) -> int:
     """Closed-form co-degree for a complete template on K_n."""
     if not is_complete_on_complete_host(t):
         raise ValueError("structural co-degrees need a complete template on K_n")
-    g, r = t.graph, t.r
-    pairs = sorted(set(pairs))
-    q = len(pairs)
-    edges = [g.edges[e] for e, _ in pairs]
-    colors = [c for _, c in pairs]
-    for c in colors:
-        if not 1 <= c <= r:
-            raise ValueError(f"color {c} outside 1..{r}")
-    if len({e for e, _ in pairs}) < q or len(set(colors)) < q:
+    checked = _pair_set(t, pairs)
+    if checked is None:
         return 0
-    span = set()
-    for u, v in edges:
-        span.update((u, v))
+    pairs = checked[0]
+    span = {v for e, _ in pairs for v in t.graph.edges[e]}
     if len(span) > 4:
         return 0
-    if len(span) == 4:
-        hosts = 1
-    elif len(span) == 3:
-        hosts = g.n - 3
-    else:
-        return 0  # < 2 distinct edges cannot happen with q >= 2
-    return hosts * perm(r - q, 6 - q)
+    # two or more distinct edges span 3 vertices (the n-3 K4s on their
+    # triangle hold them) or 4 (one K4 does)
+    hosts = 1 if len(span) == 4 else t.graph.n - 3
+    return hosts * perm(t.r - len(pairs), 6 - len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +399,15 @@ def codegree(t: Template, pairs) -> int:
     from .graphs import clique_edge_ids
     from .templates import count_distinct_choices
 
-    pairs = sorted(set(pairs))
-    q = len(pairs)
-    if not 2 <= q <= 6:
-        raise ValueError("co-degree sets have 2..6 pairs")
-    g, r = t.graph, t.r
-    used = 0
-    for e, c in pairs:
-        if not 0 <= e < g.edge_count:
-            raise ValueError(f"edge id {e} out of range")
-        if not 1 <= c <= r:
-            raise ValueError(f"color {c} outside 1..{r}")
-        used_bit = 1 << (c - 1)
-        if used & used_bit:
-            return 0  # repeated color
-        used |= used_bit
+    checked = _pair_set(t, pairs)
+    if checked is None:
+        return 0
+    pairs, used = checked
     color_of = dict(pairs)
-    if len(color_of) < q:
-        return 0  # repeated edge with different colors
     if any(not t.masks[e] >> (c - 1) & 1 for e, c in pairs):
         return 0  # a pair outside its edge's list
     batch = []  # per K4 holding every pair's edge: the lists of its other edges
-    for eids in clique_edge_ids(g, 4):
+    for eids in clique_edge_ids(t.graph, 4):
         if color_of.keys() <= set(eids):
             batch.append([t.masks[e] for e in eids if e not in color_of])
     return sum(count_distinct_choices(batch, forbidden=used))

@@ -17,10 +17,10 @@ the falling-factorial basis x^(j) = x(x-1)...(x-j+1) that product is
     x^(a) x^(b) = sum_t C(a,t) C(b,t) t! x^(a+b-t)
 
 (merge t classes of one side with t of the other), and the free edges
-contribute the Stirling row S(free, j), their unconstrained weights.  A
-K_k-free host is the case of no blocks.  Coefficient j of a product needs
-only input coefficients <= j, so capping every factor at max_classes
-classes is exact.
+contribute the Stirling row S(free, j), their unconstrained weights
+(`stirling2_row`).  A K_k-free host is the case of no blocks.  Coefficient
+j of a product needs only input coefficients <= j, so capping every factor
+at max_classes classes is exact.  Falling factorials r^(j) are `math.perm`.
 
 A block is its clique bitmasks: its m_b edges take positions 0..m_b-1 in
 order of decreasing k-clique participation, then edge id, and each clique
@@ -41,11 +41,10 @@ and is not formed when 2^q cliques already pass it.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import NamedTuple
 
 from .errors import DEFAULT_WORK_CAP, CapExceeded, UnsupportedSizeError
-from .exactmath import falling_factorial, stirling2_row
 from .graphs import (
     Graph,
     clique_edge_ids,
@@ -88,6 +87,17 @@ def _blocks(g: Graph, k: int):
         bit = {e: 1 << pos for pos, e in enumerate(order)}
         blocks.append((len(order), [sum(bit[e] for e in eids) for eids in qs]))
     return g.edge_count - sum(m for m, _ in blocks), blocks
+
+
+def stirling2_row(m: int) -> list:
+    """Stirling numbers of the second kind S(m, j) for j = 0..m."""
+    row = [1] + [0] * m
+    for i in range(1, m + 1):
+        new = [0] * (m + 1)
+        for j in range(1, i + 1):
+            new[j] = j * row[j] + row[j - 1]
+        row = new
+    return row
 
 
 def _falling_product(a, b, top: int) -> list:
@@ -254,7 +264,7 @@ def count_colorings(g: Graph, r: int, k: int = 4, work_cap: int = None) -> int:
     if r < comb(k, 2):
         return r ** m
     weights = partition_weights(g, k, max_classes=min(r, m), work_cap=work_cap)
-    return sum(w * falling_factorial(r, j) for j, w in enumerate(weights) if w)
+    return sum(w * perm(r, j) for j, w in enumerate(weights) if w)
 
 
 class PartitionPolynomial(NamedTuple):
@@ -270,9 +280,7 @@ class PartitionPolynomial(NamedTuple):
             raise ValueError("r must be >= 0")
         if self.graph.edge_count == 0:
             return 1
-        return sum(
-            s * falling_factorial(r, j + 1) for j, s in enumerate(self.coeffs) if s
-        )
+        return sum(s * perm(r, j + 1) for j, s in enumerate(self.coeffs) if s)
 
 
 def partition_polynomial(

@@ -1,4 +1,6 @@
-"""Exact integer/rational helpers shared across modules.
+"""Certified arithmetic shared by `cleaning` and `containers`: integer
+roots, rational intervals, logarithms, `cmp_value_rpow` and the Euler
+bounds.
 
 Everything here is float-free: comparisons against irrational quantities
 (square roots, cube roots, Euler's number) are decided either by integer
@@ -17,46 +19,6 @@ from math import gcd, isqrt
 # derived by interval powering so guards can always take the safe side.
 EULER_LO = Fraction(2718281828458, 10**12)
 EULER_HI = Fraction(2718281828460, 10**12)
-
-
-def falling_factorial(r: int, j: int) -> int:
-    """r (r-1) ... (r-j+1); zero as soon as the factors hit zero."""
-    out = 1
-    for i in range(j):
-        out *= r - i
-        if out == 0:
-            return 0
-    return out
-
-
-def stirling2_row(m: int) -> list:
-    """Stirling numbers of the second kind S(m, j) for j = 0..m."""
-    row = [1] + [0] * m
-    for i in range(1, m + 1):
-        new = [0] * (m + 1)
-        for j in range(1, i + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row
-
-
-def _set_partitions(q: int) -> list:
-    """(mu, blocks) for every set partition of {0..q-1}; blocks are bitmasks
-    and mu = prod over blocks B of (-1)^(|B|-1) (|B|-1)! is the Moebius
-    value mu(0, pi) on the partition lattice."""
-    if q == 0:
-        return [(1, ())]
-    bit = 1 << (q - 1)
-    out = []
-    for mu, part in _set_partitions(q - 1):
-        for i, block in enumerate(part):  # a block of size s grows: mu *= -s
-            out.append((-mu * block.bit_count(), part[:i] + (block | bit,) + part[i + 1 :]))
-        out.append((mu, part + (bit,)))
-    return out
-
-
-# SET_PARTITIONS[q] holds the (mu, blocks) rows for q <= 6 items; 203 at q = 6.
-SET_PARTITIONS = tuple(tuple(_set_partitions(q)) for q in range(7))
 
 
 def integer_nth_root(x: int, n: int) -> int:

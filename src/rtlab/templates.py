@@ -4,10 +4,11 @@ A template assigns each edge a subset of the colors 1..r; an edge coloring
 is the all-singleton special case.  A rainbow copy of K4 is a choice of
 six (edge, color) pairs whose edges form a K4 and whose colors are
 pairwise distinct, each drawn from its edge's list.  One batched numpy
-kernel counts them: the first time a template is asked about any K4, it
-fills the template's table of copies on every host K4, and whole-host
-counts, the per-triangle counts of cleaning and row materialization read
-that table.
+kernel, `count_distinct_choices`, counts them by a Moebius sum over the
+set-partition table `SET_PARTITIONS` kept beside it.  The first time a
+template is asked about any K4, the kernel fills the template's table of
+copies on every host K4, and whole-host counts, the per-triangle counts of
+cleaning and row materialization read that table.
 
 Lists are stored as bitmasks (bit c-1 set means color c is allowed);
 user-facing colors are always the integers 1..r.
@@ -19,7 +20,6 @@ import itertools
 import json
 
 from .errors import UnsupportedSizeError
-from .exactmath import SET_PARTITIONS
 from .graphs import Graph, k4_subgraphs, parse_graph6, write_graph6
 
 MAX_COLORS = 64
@@ -147,6 +147,24 @@ def r_neighborhood(t: Template, v: int) -> int:
 # (203 for the six lists of a K4), whatever the number of colors.  One numpy
 # kernel takes a whole batch of rows, such as every K4 of a template.
 
+def _set_partitions(q: int) -> list:
+    """(mu, blocks) for every set partition of {0..q-1}; blocks are bitmasks
+    and mu = prod over blocks B of (-1)^(|B|-1) (|B|-1)! is the Moebius
+    value mu(0, pi) on the partition lattice."""
+    if q == 0:
+        return [(1, ())]
+    bit = 1 << (q - 1)
+    out = []
+    for mu, part in _set_partitions(q - 1):
+        for i, block in enumerate(part):  # a block of size s grows: mu *= -s
+            out.append((-mu * block.bit_count(), part[:i] + (block | bit,) + part[i + 1 :]))
+        out.append((mu, part + (bit,)))
+    return out
+
+
+# SET_PARTITIONS[q] holds the (mu, blocks) rows for q <= 6 items; 203 at q = 6.
+SET_PARTITIONS = tuple(tuple(_set_partitions(q)) for q in range(7))
+
 # Rows per pass of the Moebius sum, by list count q: as many as keep a
 # pass's working set within 1 MiB (278 rows at q = 6), so a pass stays in
 # cache and its memory does not grow with the batch.  Per row that is 2^q + 1
@@ -272,15 +290,23 @@ def template_to_dict(t: Template) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer: an int, not a bool, a float or a string."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def template_from_dict(d: dict) -> Template:
     g = parse_graph6(d["graph"])
-    r = int(d["r"])
+    r = _json_int(d["r"], "r")
     lists = d["lists"]
     if len(lists) != g.edge_count:
         raise ValueError(
             f"template has {len(lists)} lists but graph has {g.edge_count} edges"
         )
-    return Template(g, r, tuple(colors_to_mask(colors, r) for colors in lists))
+    masks = (colors_to_mask([_json_int(c, "color") for c in colors], r) for colors in lists)
+    return Template(g, r, tuple(masks))
 
 
 def template_to_json(t: Template) -> str:

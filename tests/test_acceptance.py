@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 from math import comb
+from math import perm as falling_factorial
 
 from rtlab.cleaning import (
     CleaningConfig,
@@ -34,7 +35,6 @@ from rtlab.counting import (
     partition_polynomial,
     rho_max_search,
 )
-from rtlab.exactmath import falling_factorial
 from rtlab.graphs import (
     closeness_to_kpartite,
     complete_graph,

@@ -544,6 +544,12 @@ def test_template_parse_error_exit(tmp_path, capsys):
     bad.write_text("{\"graph\": \"C~\", \"r\": 6}")
     code, _, err = run_cli(["template-stats", "--template", str(bad)], capsys)
     assert code == 4
+    for r, color in ((12.7, 1), ("7", 1), (12, True), (12, 1.0)):
+        bad.write_text(json.dumps({"graph": "C~", "r": r, "lists": [[color]] * 6}))
+        code, out, err = run_cli(["template-stats", "--template", str(bad), "--no-cache"], capsys)
+        assert code == 4 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("bad template JSON: ") and "must be an integer" in message
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +696,27 @@ _OPENSSL = {"hashlib", "_hashlib"}
     (["--version"], {"numpy", "rtlab.containers", "rtlab.errors"},
      {"rtlab.cleaning", "rtlab.counting", "rtlab.cache", "rtlab.graphs", "rtlab.templates",
       "rtlab.exactmath", *_OPENSSL}),
-    (["count", "--graph", "C~", "-r", "6", "--no-cache"],
-     {"rtlab.counting", "rtlab.graphs", "rtlab.exactmath"},
-     {"rtlab.cleaning", "rtlab.templates", *_OPENSSL}),
+    (["count", "--graph", "C~", "-r", "6", "--no-cache"], {"rtlab.counting", "rtlab.graphs"},
+     {"rtlab.cleaning", "rtlab.templates", "rtlab.exactmath", *_OPENSSL}),
+    # counting and templates hold their own combinatorial helpers; only the
+    # certified arithmetic of cleaning and the container thresholds loads exactmath
+    (["poly", "--graph", "C~", "--no-cache"], {"rtlab.counting"}, {"rtlab.exactmath"}),
+    (["search", "-n", "4", "-r", "6", "--no-cache"], {"rtlab.counting"}, {"rtlab.exactmath"}),
+    (["bounds-compare", "-r", "12", "-k", "4"], {"rtlab.counting"}, {"rtlab.exactmath"}),
+    (["container-stats", "--graph", "C~", "-r", "6", "--no-cache"], {"rtlab.graphs"},
+     {"rtlab.exactmath"}),
+    (["container-stats", "--graph", "C~", "-r", "6", "--materialize", "--no-cache"],
+     {"rtlab.templates"}, {"rtlab.exactmath"}),
+    (["container-threshold", "-r", "6", "--no-cache"], {"rtlab.exactmath"}, {"rtlab.counting"}),
     (["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", "15", "--no-cache"], {"rtlab.cleaning"},
      {"rtlab.counting", *_OPENSSL}),
-], ids=["version", "count", "supersat"])
+], ids=["version", "count", "poly", "search", "bounds-compare", "container-stats",
+        "container-stats-materialize", "container-threshold", "supersat"])
 def test_command_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path):
     loaded, _ = _loaded(argv, tmp_path)
     assert loads <= loaded
     assert not skips & loaded
-    if argv != ["--version"]:  # keyed; stdlib `random` may load _sha2 on any call
+    if argv[0] not in ("--version", "bounds-compare"):  # keyed; `random` may load _sha2 anyway
         assert _BUILTIN_SHA & loaded
 
 

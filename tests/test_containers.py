@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from math import perm as falling_factorial
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from rtlab.containers import (
     structural_max_codegrees,
 )
 from rtlab.errors import CapExceeded
-from rtlab.exactmath import falling_factorial
 from rtlab.graphs import Graph, clique_edge_ids, complete_graph, enumerate_graphs, turan_graph
 from rtlab.templates import (
     Template,
@@ -161,14 +161,17 @@ def test_codegree_three_edge_cases(k6):
         assert structural_codegree(t, s) == codegree(t, s)
 
 
-def test_codegree_size_bounds(k6):
+def test_codegree_size_bounds(k5, k6):
     t = complete_template(k6, 12)
-    with pytest.raises(ValueError):
-        codegree(t, [(0, 1)])
-    with pytest.raises(ValueError):
-        codegree(t, [(i, i + 1) for i in range(7)])
-    with pytest.raises(ValueError):
-        codegree(t, [(0, 13), (1, 1)])
+    # a single pair, also one given twice, is refused, not answered 0: on the
+    # complete r=6 template on K5 it lies in 3 K4s * 5! = 360 rows
+    assert codegree_from_rows(materialize_rows(complete_template(k5, 6)), [0]) == 360
+    bad = ([(0, 1)], [(0, 1), (0, 1)], [(i, i + 1) for i in range(7)], [(0, 13), (1, 1)],
+           [(99, 1), (0, 2)])
+    for f in (codegree, structural_codegree):
+        for pairs in bad:
+            with pytest.raises(ValueError):
+                f(t, pairs)
 
 
 def test_structural_matches_materialized_small_grid():

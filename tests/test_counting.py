@@ -1,5 +1,6 @@
 import itertools
 from math import comb
+from math import perm as falling_factorial
 
 import pytest
 
@@ -16,9 +17,9 @@ from rtlab.counting import (
     partition_polynomial,
     partition_weights,
     rho_max_search,
+    stirling2_row,
 )
 from rtlab.errors import CapExceeded, UnsupportedSizeError
-from rtlab.exactmath import falling_factorial, stirling2_row
 from rtlab.graphs import (
     Graph,
     clique_edge_ids,

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from math import comb
+from math import perm as falling_factorial
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from rtlab import templates
 from rtlab.containers import materialize_rows
 from rtlab.errors import UnsupportedSizeError
-from rtlab.exactmath import SET_PARTITIONS, falling_factorial, stirling2_row
+from rtlab.counting import stirling2_row
 from rtlab.graphs import Graph, complete_graph
 from rtlab.templates import (
+    SET_PARTITIONS,
     Template,
     complete_template,
     count_distinct_choices,
@@ -463,3 +465,9 @@ def test_template_json_validation(k4):
     d2["lists"][0] = [7]
     with pytest.raises(ValueError):
         template_from_json(json.dumps(d2))
+    # r and colors are JSON integers: 12.7 is not truncated to 12, "7" is not
+    # parsed, true is not color 1, and 1.0 is refused like the others
+    for r, color in ((12.7, 1), ("7", 1), (12, True), (12, 1.0)):
+        d3 = {"graph": "C~", "r": r, "lists": [[color]] * 6}
+        with pytest.raises(ValueError, match="must be an integer"):
+            template_from_json(json.dumps(d3))
