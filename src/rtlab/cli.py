@@ -12,7 +12,8 @@ cache, cleaning, counting, graphs and templates are imported inside the
 functions that call them, so a command loads only the modules it runs:
 `--version` loads containers, errors and numpy; a `count` hit adds cache,
 and a miss counting and graphs.  Cache keys are SHA-256 from
-CPython's built-in module, so no command loads hashlib or OpenSSL.
+CPython's built-in module, so no command loads hashlib or OpenSSL; under
+--no-cache nothing is hashed and cache is not loaded.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import DEFAULT_WORK_CAP, CapExceeded, Graph6ParseError
 
 # the annotation `Template` is templates.Template, never evaluated
 
-DEFAULT_CACHE = os.path.join("~", ".cache", "rtl", "results.jsonl")
+DEFAULT_CACHE = "~/.cache/rtl/results.jsonl"  # expanduser reads "~/" on every platform
 
 
 class InputError(ValueError):
@@ -50,10 +51,6 @@ class InputError(ValueError):
 def _rat(x) -> dict:
     f = Fraction(x)
     return {"num": str(f.numerator), "den": str(f.denominator)}
-
-
-def _interval(iv) -> dict:
-    return {"lo": _rat(iv[0]), "hi": _rat(iv[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +264,7 @@ def _payload_supersat(p):
         "k": p["k"],
         "edges": p["e"],
         "lower_bound": _rat(iv[0]),
-        "interval": _interval(iv),
+        "interval": {"lo": _rat(iv[0]), "hi": _rat(iv[1])},
         "positive": iv[0] > 0,
     }
 
@@ -315,10 +312,14 @@ def _run_batch(op: str, params, build, cache, workers: int):
     cannot depend on anything its key leaves out.  Items that share a
     fingerprint are looked up, computed and stored once; the first lookup
     reads the records of the whole batch, and its new records are appended
-    together."""
-    from .cache import fingerprint
+    together.  Without a cache the keys only deduplicate the batch, so they
+    are the canonical parameter JSON, and `cache` is not imported."""
+    if cache:
+        from .cache import fingerprint
 
-    fps = [fingerprint(op, p, __version__) for p in params]
+        fps = [fingerprint(op, p, __version__) for p in params]
+    else:
+        fps = [json.dumps(p, sort_keys=True) for p in params]
     distinct = set(fps)
     payloads = {}
     todo = {}  # fingerprint -> its first parameters, for the misses
@@ -532,10 +533,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_json(kind: str, exc: Exception) -> str:
-    return json.dumps(
-        {"error": {"type": kind, "message": str(exc)}}, sort_keys=True
-    )
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report `exc` on stderr as one JSON object; returns the exit code."""
+    error = {"error": {"type": kind, "message": str(exc)}}
+    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -545,14 +547,11 @@ def main(argv=None) -> int:
     try:
         records = args.func(args, cache)
     except CapExceeded as exc:
-        print(_error_json("cap-exceeded", exc), file=sys.stderr)
-        return 3
+        return _fail("cap-exceeded", exc, 3)
     except (Graph6ParseError, InputError, json.JSONDecodeError) as exc:
-        print(_error_json("parse-error", exc), file=sys.stderr)
-        return 4
+        return _fail("parse-error", exc, 4)
     except (ValueError, RuntimeError, OSError) as exc:
-        print(_error_json("invalid-argument", exc), file=sys.stderr)
-        return 2
+        return _fail("invalid-argument", exc, 2)
     _emit(records, args.format)
     return 0
 

@@ -44,13 +44,7 @@ ELL = 6
 # the same under both for r in {6, 12, 64}, because the tau condition binds
 # there (tests/test_containers.py).
 DELTA_LEAD = 2 ** 14
-DELTA_WEIGHTS = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 4),
-    Fraction(1, 8),
-    Fraction(1, 16),
-)
+DELTA_WEIGHTS = tuple(Fraction(1, 2 ** i) for i in range(5))
 TAU_THRESHOLD = Fraction(1, 200 * ELL * factorial(ELL) ** 2)
 DELTA_BOUND_DENOM = 12 * factorial(ELL)
 C_ELL_BOUND = 1000 * ELL * factorial(ELL) ** 3  # reported constant c(ell)
@@ -130,7 +124,7 @@ def _most_k4s_on_a_triangle(g) -> int:
     from .graphs import triangles
 
     return max(
-        (bin(g.adj[a] & g.adj[b] & g.adj[c]).count("1") for a, b, c in triangles(g)), default=0
+        ((g.adj[a] & g.adj[b] & g.adj[c]).bit_count() for a, b, c in triangles(g)), default=0
     )
 
 
@@ -173,25 +167,31 @@ def structural_codegree(t: Template, pairs) -> int:
 # ---------------------------------------------------------------------------
 # Materialized path.
 
-def _selection_rows(masks) -> np.ndarray:
+def _selection_rows(masks, offsets) -> np.ndarray:
     """Every distinct-colour selection from six colour lists, as rows of
-    0-based colours in list order.  The lists are expanded smallest first
-    (ties by index); each partial row carries a uint64 word of the colours
-    it has used, and a candidate colour whose bit is already set is dropped.
-    Rows come out in lexicographic order of the colours in expansion order."""
-    order = sorted(range(6), key=lambda i: (masks[i].bit_count(), i))
-    out = np.zeros((1, 6), dtype=np.uint8)
-    used = np.zeros(1, dtype=np.uint64)
+    ids offsets[i] + (0-based colour from list i), in `offsets`' dtype.  The
+    lists are expanded smallest first (ties by index): each partial row
+    carries a word of the colours it has used, in the narrowest unsigned
+    type with a bit per colour, and is repeated once per candidate colour
+    whose bit is clear, picked by a boolean mask.  Rows come out in
+    lexicographic order of the colours in expansion order."""
+    order = sorted(range(6), key=lambda i: masks[i].bit_count())  # stable: ties by index
+    word = np.min_scalar_type(max(masks)).type  # as many bits as the highest colour
+    out = offsets[None]
+    used = np.zeros(1, dtype=word)
     for i in order:
         colors = np.array(
             [c for c in range(masks[i].bit_length()) if masks[i] >> c & 1], dtype=np.uint8
         )
-        bits = np.left_shift(np.uint64(1), colors)
-        parent, pick = np.nonzero((used[:, None] & bits) == 0)
-        out = out[parent]
-        out[:, i] = colors[pick]
+        bits = word(1) << colors
+        free = (used[:, None] & bits) == 0
+        counts = np.count_nonzero(free, axis=1)
+        picked = np.broadcast_to(colors, free.shape)[free]
         if i != order[-1]:  # the last list's colours are never tested
-            used = used[parent] | bits[pick]
+            used = np.repeat(used, counts) | word(1) << picked
+        free = None  # before the rows are repeated
+        out = np.repeat(out, counts, axis=0)  # a new array, so `offsets` stays as it is
+        out[:, i] += picked
     return out
 
 
@@ -208,8 +208,7 @@ def _k4_rows(t: Template):
 
     r, dtype = t.r, _id_dtype(t)
     for eids in clique_edge_ids(t.graph, 4):
-        offsets = np.array([e * r for e in eids], dtype=dtype)
-        yield _selection_rows([t.masks[e] for e in eids]) + offsets
+        yield _selection_rows([t.masks[e] for e in eids], np.array(eids, dtype) * r)
 
 
 def _k4_blocks(parts):
@@ -247,31 +246,40 @@ def materialize_rows(t: Template, cap: int = DEFAULT_MATERIALIZE_CAP) -> np.ndar
     for rows in _k4_rows(t):
         out[at : at + len(rows)] = rows
         at += len(rows)
+        del rows  # before the next K4's rows are made
     return out
 
 
-def _subrow_keys(cols, combo, base: int, buf: np.ndarray) -> list:
-    """Positional base-`base` keys of the sub-rows at the sorted column
-    positions `combo`, as word arrays of `buf`'s dtype, most significant
-    first: one word while base**len(combo) fits, else (int64 only) as many
-    digits per word as fit.  The first word is written over `buf`."""
+def _subrow_keys(cols, combo, radix: int, held: list) -> list:
+    """Positional base-`radix` keys of the sub-rows at the sorted column
+    positions `combo`, as word arrays, most significant first: one int32
+    word while radix**len(combo) fits one, since those sort about twice as
+    fast, else int64 words of as many digits as fit.  The first word is
+    written over the buffer held[0]; unless it has that dtype and one item
+    per row, it is let go first and replaced."""
+    j = len(combo)
+    dtype = np.int32 if radix ** j < 2 ** 31 else np.int64
+    if held[0].dtype != dtype or held[0].shape != cols[0].shape:
+        held[0] = None
+        held[0] = np.empty_like(cols[0], dtype)
     per = 1
-    while per < len(combo) and base ** (per + 1) <= 2 ** 63:
+    while per < j and radix ** (per + 1) <= 2 ** 63:
         per += 1
     words = []
-    for at in range(0, len(combo), per):
-        w = np.empty_like(buf) if words else buf
-        np.copyto(w, cols[combo[at]], casting="safe")
+    for at in range(0, j, per):
+        w = np.empty_like(held[0]) if words else held[0]
+        np.copyto(w, cols[combo[at]])
         for c in combo[at + 1 : at + per]:
-            w *= base
+            w *= radix
             w += cols[c]
         words.append(w)
     return words
 
 
-def _sorted_runs(words, weights=None):
-    """(keys, weights) in key order, and the positions where a run of equal
-    keys starts; a one-word key array without weights is sorted in place."""
+def _key_counts(words, weights=None):
+    """(distinct keys as word arrays, summed weight of each key); without
+    weights the sums are the keys' multiplicities.  A one-word key array
+    without weights is sorted in place."""
     if len(words) == 1 and weights is None:
         words[0].sort()
     else:
@@ -279,44 +287,43 @@ def _sorted_runs(words, weights=None):
         words = [w[order] for w in words]
         if weights is not None:
             weights = weights[order]
-    new = np.zeros(len(words[0]), dtype=bool)
+    new = np.empty(len(words[0]), dtype=bool)  # True where a run of equal keys starts
     new[0] = True
-    for w in words:
+    np.not_equal(words[0][1:], words[0][:-1], out=new[1:])
+    for w in words[1:]:
         new[1:] |= w[1:] != w[:-1]
-    return words, weights, np.flatnonzero(new)
-
-
-def _key_counts(words, weights=None):
-    """(distinct keys as word arrays, summed weight of each key); without
-    weights the sums are the keys' multiplicities."""
-    words, weights, starts = _sorted_runs(words, weights)
-    if weights is None:
-        sums = np.diff(starts, append=len(words[0]))
-    else:
-        sums = np.add.reduceat(weights, starts)
+    starts = np.flatnonzero(new)
+    sums = np.diff(starts, append=len(new)) if weights is None else np.add.reduceat(weights, starts)
     return [w[starts] for w in words], sums
 
 
-def _largest_multiplicity(words) -> int:
-    """Largest multiplicity of any key.  The run starts are differenced in
-    place into run lengths, and the distinct keys are never gathered."""
-    words, _, starts = _sorted_runs(words)
-    last = len(words[0]) - starts[-1]
-    np.subtract(starts[1:], starts[:-1], out=starts[:-1])
-    starts[-1] = last
-    return int(starts.max())
+def _largest_multiplicity(words, least: int) -> int:
+    """The larger of `least` and the largest multiplicity of any key.  Keys
+    of one word are sorted in place; a key then occurs more than m times
+    exactly when it equals the key m places on, one comparison pass with
+    no index array.  m = max(least, 1) is tested first, so a block that
+    cannot raise `least` costs one pass; one that can is bisected up to its
+    row count.  Keys of several words are counted by `_key_counts`."""
+    if len(words) > 1:
+        return max(least, int(_key_counts(words)[1].max()))
+    keys = words[0]
+    keys.sort()
+    low = m = max(least, 1)
+    high = len(keys)
+    while low < high:
+        low, high = (m + 1, high) if (keys[m:] == keys[:-m]).any() else (low, m)
+        m = (low + high) // 2
+    return low
 
 
 # A row's columns are the edges ab, ac, ad, bc, bd, cd of a K4 a < b < c < d.
 _K4_EDGES = tuple(itertools.combinations(range(4), 2))
-# The column combinations whose edges meet only three of its vertices: the
-# 12 pairs of edges sharing a vertex and the 4 triangles.
-_ON_THREE_VERTICES = frozenset(
-    combo
-    for j in (2, 3)
-    for combo in itertools.combinations(range(6), j)
-    if len({v for i in combo for v in _K4_EDGES[i]}) == 3
-)
+_COMBOS = [c for j in range(2, 7) for c in itertools.combinations(range(6), j)]
+# The column combinations whose edges meet only three of the K4's vertices
+# (the 12 pairs of edges sharing a vertex and the 4 triangles), and all the
+# others.
+_ON_THREE_VERTICES = [c for c in _COMBOS if len({v for i in c for v in _K4_EDGES[i]}) == 3]
+_ON_FOUR_VERTICES = [c for c in _COMBOS if c not in _ON_THREE_VERTICES]
 
 
 def max_codegrees_from_rows(rows, base: int) -> tuple:
@@ -329,20 +336,26 @@ def max_codegrees_from_rows(rows, base: int) -> tuple:
     block.  Rows outside that layout (say, two colours of one edge in a
     row) pass the checks but may get their co-degrees undercounted.
 
-    Each block's columns are copied once, in the narrowest dtype that holds
-    its largest id.  Every j-subset of a row sits at some sorted column
-    combination and is keyed positionally in base `base`, as an int32
-    while base**j fits one, since those sort about twice as fast.  A j-set
-    whose edges span four vertices (always so for j >= 4) lies on exactly
-    one K4, so every row holding it is in one block, at the same columns:
-    its co-degree is the multiplicity of its key at that combination of
-    that block.  Two or three edges on three vertices lie on every K4
-    through that triangle, at columns that depend on where the fourth
-    vertex sorts, so those keys are counted per combination and block and
-    the counts are merged once at the end."""
+    Each block is checked one column pair at a time, and its columns are
+    copied once, in the narrowest dtype that holds its largest id, over
+    the last block's copy, which is let go first; the key buffer is reused
+    while blocks keep their length.  Every j-subset of a row sits at some
+    sorted column combination and is keyed positionally there.  Two or
+    three edges on three vertices lie on every K4 through that triangle,
+    at columns that depend on where the fourth vertex sorts, so those
+    subsets are keyed first, in base `base` on the ids as given, counted
+    per combination and block, and the counts merged once at the end.  A
+    j-set whose edges span four vertices (always so for j >= 4) lies on
+    exactly one K4, so every row holding it is in one block, at the same
+    columns: its co-degree is the multiplicity of its key at that
+    combination of that block.  Those are keyed after each column has its
+    minimum subtracted in place, in radix R = the block's largest column
+    span, at most `base`: a lone K4 at r colours has R <= r, so at r <= 35
+    every key is one int32."""
     base = int(base)
     best = [0] * 5  # Delta_2..Delta_6 so far
     shared = ([], [])  # j = 2, 3: (key words, multiplicities) on three vertices
+    held = [np.empty(0)]  # the key buffer
     for block in rows if isinstance(rows, Iterator) else [rows]:
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != 6 or not np.issubdtype(block.dtype, np.integer):
@@ -354,24 +367,22 @@ def max_codegrees_from_rows(rows, base: int) -> tuple:
         top = int(block.max())
         if block.min() < 0 or base <= top or top >= 2 ** 63:
             raise ValueError(f"ids {block.min()}..{top} do not lie in 0..{min(base, 2 ** 63) - 1}")
-        if (block[:, 1:] <= block[:, :-1]).any():
-            raise ValueError("every row must hold six increasing ids")
-        # uint64 would not copy safely into int64 keys; ids past uint16 need those
+        for c in range(5):
+            if (block[:, c + 1] <= block[:, c]).any():
+                raise ValueError("every row must hold six increasing ids")
+        # uint64 would not cast into int64 keys unchecked; ids past uint32 need those
         narrow = np.min_scalar_type(top) if top < 2 ** 32 else np.int64
-        cols = np.ascontiguousarray(block.T, dtype=narrow)
-        buf = None
-        for j in range(2, 7):
-            dtype = np.int32 if base ** j < 2 ** 31 else np.int64
-            if buf is None or buf.dtype != dtype:
-                buf = None  # one key buffer at a time
-                buf = np.empty(len(block), dtype=dtype)
-            # each key is used up before the next one is written over the buffer
-            for combo in itertools.combinations(range(6), j):
-                words = _subrow_keys(cols, combo, base, buf)
-                if combo in _ON_THREE_VERTICES:
-                    shared[j - 2].append(_key_counts(words))
-                else:
-                    best[j - 2] = max(best[j - 2], _largest_multiplicity(words))
+        cols = None
+        cols = block.T.astype(narrow, order="C")  # a copy even of one row
+        # each key is used up before the next one is written over the buffer
+        for combo in _ON_THREE_VERTICES:
+            shared[len(combo) - 2].append(_key_counts(_subrow_keys(cols, combo, base, held)))
+        cols -= cols.min(axis=1, keepdims=True)
+        radix = int(cols.max()) + 1
+        for combo in _ON_FOUR_VERTICES:
+            j = len(combo) - 2
+            best[j] = _largest_multiplicity(_subrow_keys(cols, combo, radix, held), best[j])
+    cols = held = None  # before the merge
     for j, parts in enumerate(shared):
         if parts:
             merged = [np.concatenate(w) for w in zip(*(p[0] for p in parts))]
@@ -406,10 +417,12 @@ def codegree(t: Template, pairs) -> int:
     color_of = dict(pairs)
     if any(not t.masks[e] >> (c - 1) & 1 for e, c in pairs):
         return 0  # a pair outside its edge's list
-    batch = []  # per K4 holding every pair's edge: the lists of its other edges
-    for eids in clique_edge_ids(t.graph, 4):
-        if color_of.keys() <= set(eids):
-            batch.append([t.masks[e] for e in eids if e not in color_of])
+    # per K4 holding every pair's edge: the lists of its other edges
+    batch = [
+        [t.masks[e] for e in eids if e not in color_of]
+        for eids in clique_edge_ids(t.graph, 4)
+        if color_of.keys() <= set(eids)
+    ]
     return sum(count_distinct_choices(batch, forbidden=used))
 
 
@@ -441,7 +454,7 @@ def build_rainbow_hypergraph(
 
     nv = t.graph.edge_count * t.r
     ne = count_rainbow_copies(t)
-    avg = Fraction(ELL * ne, nv) if nv else Fraction(0)
+    avg = Fraction(ELL * ne, nv or 1)  # no edges, so no hyperedges, when nv is 0
     rows = None
     if materialize:
         rows = materialize_rows(t, cap)
@@ -476,10 +489,10 @@ def delta_tau(stats: RainbowHypergraphStats, tau: Fraction) -> Fraction:
         raise ValueError("undefined average degree: hypergraph has no edges")
     if stats.max_codegrees is None:
         raise ValueError("co-degrees were not computed for these stats")
-    total = Fraction(0)
-    for i, (w, d) in enumerate(zip(DELTA_WEIGHTS, stats.max_codegrees)):
-        total += w * d / (stats.average_degree * tau ** (i + 1))
-    return DELTA_LEAD * total
+    return DELTA_LEAD * sum(
+        w * d / (stats.average_degree * tau ** i)
+        for i, (w, d) in enumerate(zip(DELTA_WEIGHTS, stats.max_codegrees), 1)
+    )
 
 
 class ContainerConstants(NamedTuple):
@@ -532,7 +545,7 @@ def _delta_condition_holds(n: int, r: int) -> bool:
     it is evaluated at both ends of tau's certified interval and compared
     with the ends of epsilon's, refining until the two sides separate."""
     deltas = structural_max_codegrees(n, r)
-    if all(d == 0 for d in deltas):
+    if not any(deltas):
         return True  # empty hypergraph: the functional is identically zero
     stats = RainbowHypergraphStats(
         comb(n, 2) * r, structural_edge_count(n, r), structural_average_degree(n, r), deltas
@@ -556,9 +569,7 @@ def hypothesis_flags(n: int, r: int) -> tuple:
         raise ValueError("n must be >= 1")
     vacuous = r < 6 or n < 4  # no rainbow copies, empty hypergraph
     tau_ok = n > N_TAU
-    if vacuous:
-        return vacuous, tau_ok, True
-    return vacuous, tau_ok, _delta_condition_holds(n, r)
+    return vacuous, tau_ok, vacuous or _delta_condition_holds(n, r)
 
 
 def container_hypothesis_check(n: int, r: int) -> HypothesisReport:
@@ -590,9 +601,9 @@ def container_hypothesis_check(n: int, r: int) -> HypothesisReport:
         # c * N * tau * ln(1/eps) * ln(1/tau), where ln(1/x) for x in
         # [lo, hi] lies in [-ln(hi), -ln(lo)]
         ln_inv = [(-ln_interval(hi)[1], -ln_interval(lo)[0]) for lo, hi in (eps, tau)]
-        nv = r * comb(n, 2)
-        expo = iv_mul(iv_mul(iv_exact(C_ELL_BOUND * nv), tau), iv_mul(*ln_inv))
-        details["conclusion_exponent"] = expo
+        details["conclusion_exponent"] = iv_mul(
+            iv_mul(iv_exact(C_ELL_BOUND * r * comb(n, 2)), tau), iv_mul(*ln_inv)
+        )
     return HypothesisReport(n, r, vacuous, tau_ok, delta_ok, tau_ok and delta_ok, details)
 
 

@@ -25,20 +25,26 @@ from .graphs import Graph, k4_subgraphs, parse_graph6, write_graph6
 MAX_COLORS = 64
 
 
+def _color_count(r: int) -> int:
+    """r, once it is checked to lie in 1..MAX_COLORS: before any shift by r,
+    so a negative count gets this message and not Python's own."""
+    if not 1 <= r <= MAX_COLORS:
+        raise UnsupportedSizeError(f"color count {r} outside 1..{MAX_COLORS}")
+    return r
+
+
 class Template:
     """Per-edge color lists over a fixed host graph.  Immutable."""
 
     __slots__ = ("graph", "r", "masks", "_k4_copies")
 
     def __init__(self, graph: Graph, r: int, masks):
-        if not 1 <= r <= MAX_COLORS:
-            raise UnsupportedSizeError(f"color count {r} outside 1..{MAX_COLORS}")
+        full = (1 << _color_count(r)) - 1
         masks = tuple(masks)
         if len(masks) != graph.edge_count:
             raise ValueError(
                 f"need {graph.edge_count} lists, got {len(masks)}"
             )
-        full = (1 << r) - 1
         for i, m in enumerate(masks):
             if m & ~full:
                 raise ValueError(f"list for edge {i} has colors outside 1..{r}")
@@ -83,7 +89,7 @@ def colors_to_mask(colors, r: int) -> int:
 
 
 def complete_template(g: Graph, r: int) -> Template:
-    full = (1 << r) - 1
+    full = (1 << _color_count(r)) - 1
     return Template(g, r, (full,) * g.edge_count)
 
 

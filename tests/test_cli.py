@@ -492,6 +492,17 @@ def test_exit_code_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("r", ["-3", "0", "65"])
+@pytest.mark.parametrize("materialize", [[], ["--materialize"]])
+def test_out_of_range_color_count_is_one_usage_error(r, materialize, capsys):
+    argv = ["container-stats", "--graph", "C~", "-r", r, *materialize, "--no-cache"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "invalid-argument", "message": f"color count {r} outside 1..64"
+    }
+
+
 def test_supersat_impossible_edge_count_is_usage_error(capsys):
     for e in ("-5", "16"):
         code, out, err = run_cli(["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", e], capsys)
@@ -691,6 +702,13 @@ _BUILTIN_SHA = {"_sha2", "_sha256"}
 _OPENSSL = {"hashlib", "_hashlib"}
 
 
+@pytest.fixture(scope="module")
+def startup_modules(tmp_path_factory):
+    """What `rtl --version` loads: the interpreter, numpy and `random`, which
+    takes its SHA-512 from _sha2 on 3.12+."""
+    return _loaded(["--version"], tmp_path_factory.mktemp("version"))[0]
+
+
 @pytest.mark.parametrize("argv, loads, skips", [
     # numpy, because bench/run.py::import_times reads its line from `import rtlab.cli`
     (["--version"], {"numpy", "rtlab.containers", "rtlab.errors"},
@@ -712,12 +730,14 @@ _OPENSSL = {"hashlib", "_hashlib"}
      {"rtlab.counting", *_OPENSSL}),
 ], ids=["version", "count", "poly", "search", "bounds-compare", "container-stats",
         "container-stats-materialize", "container-threshold", "supersat"])
-def test_command_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path):
+def test_command_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path, startup_modules):
     loaded, _ = _loaded(argv, tmp_path)
     assert loads <= loaded
     assert not skips & loaded
-    if argv[0] not in ("--version", "bounds-compare"):  # keyed; `random` may load _sha2 anyway
-        assert _BUILTIN_SHA & loaded
+    if "--no-cache" in argv:
+        # keys that only deduplicate the batch are not hashed, and no cache is read
+        assert "rtlab.cache" not in loaded
+        assert not (_BUILTIN_SHA | _OPENSSL) & (loaded - startup_modules)
 
 
 def test_cache_hit_loads_no_compute_module(tmp_path):

@@ -39,6 +39,7 @@ from rtlab.templates import (
     complete_template,
     count_distinct_choices,
     count_rainbow_copies,
+    k4_rainbow_copies,
 )
 from test_acceptance import CODEGREE_GRID, MIN_N_CONTAINER_R12
 from test_templates import brute_rainbow_rows, random_template
@@ -195,6 +196,16 @@ def test_structural_matches_materialized_small_grid():
                 assert codegree_from_rows(rows, vids) == want
 
 
+def counter_max_codegrees(rows) -> tuple:
+    """Oracle: Delta_2..Delta_6 by a pure-python count of every j-subset of
+    every row."""
+    subsets = [Counter() for _ in range(5)]
+    for vids in rows:
+        for j in range(2, 7):
+            subsets[j - 2].update(itertools.combinations(vids, j))
+    return tuple(max(c.values(), default=0) for c in subsets)
+
+
 def test_max_codegree_on_general_templates_matches_enumeration():
     rng = random.Random(0xBEEF)
     for _ in range(12):
@@ -202,18 +213,95 @@ def test_max_codegree_on_general_templates_matches_enumeration():
         rows = materialize_rows(t)
         base = t.graph.edge_count * t.r
         got = max_codegrees_from_rows(rows, base)
-        # independent pure-python recount over the product-oracle copies
-        subsets = [Counter() for _ in range(5)]
-        for vids in brute_rainbow_rows(t):
-            for j in range(2, 7):
-                for sub in itertools.combinations(vids, j):
-                    subsets[j - 2][sub] += 1
-        expect = tuple(
-            max(c.values()) if c else 0 for c in subsets
-        )
+        # independent recount over the product-oracle copies
+        expect = counter_max_codegrees(brute_rainbow_rows(t))
         assert got == expect
         for j in range(2, 7):
             assert max_codegree(t, j) == expect[j - 2]
+
+
+def _wide_host_template(rng: random.Random, r: int) -> Template:
+    """A host on 20-40 vertices, each pair an edge with probability 0.2,
+    with a K6 planted on random vertices so that triangles lie in several
+    K4s, and lists of one or two of r colours."""
+    n = rng.randint(20, 40)
+    planted = set(itertools.combinations(sorted(rng.sample(range(n), 6)), 2))
+    g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                  if e in planted or rng.random() < 0.2])
+    return Template(g, r, [sum(1 << c for c in rng.sample(range(r), rng.randint(1, 2)))
+                           for _ in range(g.edge_count)])
+
+
+def _stretched(rows, radix: int):
+    """The rows under a strictly increasing relabelling of their ids, which
+    keeps every co-degree: the ids above the least id of the widest column
+    move up so that the largest column span is exactly `radix`."""
+    rows = rows.astype(np.int64)
+    span = rows.max(axis=0) - rows.min(axis=0) + 1
+    above = rows > rows[:, int(span.argmax())].min()
+    straddle = above.any(axis=0) & ~above.all(axis=0)
+    rows[above] += radix - int(span[straddle].max())
+    assert int((rows.max(axis=0) - rows.min(axis=0)).max()) + 1 == radix
+    return rows
+
+
+def _three_ways(t, rows, base, monkeypatch) -> set:
+    """max_codegrees_from_rows on the rows as one block, K4 by K4, and in
+    blocks of K4s joined up to 64 rows."""
+    ends = itertools.accumulate(k4_rainbow_copies(t).values(), initial=0)
+    k4s = [rows[a:b] for a, b in itertools.pairwise(ends)]
+    monkeypatch.setattr(containers, "_BLOCK_ROWS", 64)
+    return {
+        max_codegrees_from_rows(rows, base),
+        max_codegrees_from_rows(iter(k4s), base),
+        max_codegrees_from_rows(containers._k4_blocks(iter(k4s)), base),
+    }
+
+
+# Largest column spans R, in pairs, with R**j just below and just above a
+# key width: 2**31 (one int32 word, else int64) at j = 2 and 3, and 2**63
+# (one int64 word, else several) at j = 2..6 (2**21 cubed is 2**63, which
+# still fits one word of three digits).  Keys wrap without error, so a word
+# one bit too narrow still tells keys apart; at the powers of two 2**16 and
+# 2**32 a word too narrow for its digits drops the leading one whole.
+KEY_WIDTH_RADICES = [
+    46340, 46341, 1290, 1291,
+    3037000499, 3037000500, 2 ** 21, 2 ** 21 + 1, 55109, 55110, 6208, 6209, 1448, 1449,
+    2 ** 16, 2 ** 32,
+]
+
+
+def test_wide_hosts_count_like_the_subset_counter(monkeypatch):
+    # bases reach about 10,000, so blocks of joined K4s key in int64 from
+    # j = 3 on; stretching the ids moves the block's largest column span R
+    # to either side of each key width
+    rng = random.Random(0x31D3)
+    stretched, nonempty = set(), 0
+    for r in (6, 9, 16, 40, 64, 64):
+        t = _wide_host_template(rng, r)
+        rows = materialize_rows(t)
+        want = counter_max_codegrees(brute_rainbow_rows(t))
+        nonempty += want[0] > 1
+        base = t.graph.edge_count * r
+        for dtype in (np.uint8, np.uint16, np.int64, np.uint64):
+            if base <= np.iinfo(dtype).max + 1:
+                assert _three_ways(t, rows.astype(dtype), base, monkeypatch) == {want}
+        if len(rows) < 2:
+            continue
+        # the same rows relabelled to ranks, in uint8 when they fit
+        dense = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
+        if dense.max() < 256:
+            assert _three_ways(t, dense.astype(np.uint8), 256, monkeypatch) == {want}
+        span = int((dense.max(axis=0) - dense.min(axis=0)).max()) + 1
+        for radix in KEY_WIDTH_RADICES:
+            if radix < span:
+                continue
+            stretched.add(radix)
+            wide = _stretched(dense, radix)
+            for dtype in (np.int64, np.uint64):
+                got = _three_ways(t, wide.astype(dtype), int(wide.max()) + 1, monkeypatch)
+                assert got == {want}, (r, radix, dtype)
+    assert nonempty >= 4 and stretched == set(KEY_WIDTH_RADICES)
 
 
 # Row co-degrees against the counter they replaced: np.unique per column
@@ -506,6 +594,22 @@ def test_materialized_counting_holds_one_block_beyond_the_rows():
             tracemalloc.stop()
         assert stats.max_codegrees == structural_max_codegrees(n, 9)
         assert peak < rows.nbytes + 8 * 2 ** 20
+
+
+def test_materialized_k5_r9_holds_at_most_one_mib_beyond_its_rows():
+    # the rows are 1.8 MB of uint8; building and counting them K4 by K4
+    # holds about 0.84 MiB more: mostly one K4's column copy, its int32 key
+    # buffer and one comparison mask, and no int64 index array
+    t = complete_template(complete_graph(5), 9)
+    tracemalloc.start()
+    try:
+        stats, rows = build_rainbow_hypergraph(t, materialize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.max_codegrees == (1680, 240, 20, 4, 1)
+    assert (rows.dtype, rows.nbytes) == (np.uint8, 1814400)
+    assert peak - rows.nbytes <= 2 ** 20
 
 
 def _row_order_template(rng: random.Random) -> Template:

@@ -1,9 +1,11 @@
 """Source hygiene: every private module-level helper in `src/rtlab` is used
 by the program itself, not only by the tests, every import is read in
-its module or function, and the result records are NamedTuples, not
-dataclasses."""
+its module or function, the result records are NamedTuples, not
+dataclasses, and every module stays under CPython's 4,096-token compile
+step."""
 
 import ast
+import tokenize
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -189,3 +191,32 @@ def test_records_are_immutable_named_tuples(rec):
     again = rec._replace(**{first: getattr(rec, first)})
     assert type(again) is type(rec) and again == rec
     assert type(rec)(**rec._asdict()) == rec
+
+
+_UNPARSED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+
+def module_tokens(src=SRC) -> dict:
+    """module -> its token count as CPython's parser meets it: every token
+    `tokenize` yields but comments, non-logical line breaks and the
+    encoding marker, which the parser never sees."""
+    counts = {}
+    for path in sorted(src.glob("*.py")):
+        with path.open("rb") as fh:
+            counts[path.stem] = sum(tok.type not in _UNPARSED for tok in tokenize.tokenize(fh.readline))
+    return counts
+
+
+def test_every_module_stays_under_the_compile_token_step():
+    # compiling a module of 4,096 tokens or more takes about 250 KiB more
+    # memory, on every call when no bytecode is written
+    over = {module: n for module, n in module_tokens().items() if n >= 4096}
+    assert over == {}, f"modules at 4,096 tokens or more: {over}"
+
+
+def test_token_count_leaves_out_what_the_parser_never_sees(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "# a comment line\n\nx = 1  # a trailing comment\ny = (1,\n     2)\n"
+    )
+    # x = 1 NEWLINE, y = ( 1 , 2 ) NEWLINE, ENDMARKER
+    assert module_tokens(tmp_path) == {"a": 13}

@@ -94,6 +94,14 @@ def test_color_cap():
         complete_template(complete_graph(3), 65)
 
 
+@pytest.mark.parametrize("r", [-64, -3, -1, 0, 65, 200])
+def test_every_out_of_range_color_count_gets_one_message(r):
+    # a negative r is checked before it is a shift count
+    for build in (complete_template, lambda g, r: Template(g, r, [0] * g.edge_count)):
+        with pytest.raises(UnsupportedSizeError, match=rf"^color count {r} outside 1\.\.64$"):
+            build(complete_graph(3), r)
+
+
 def test_from_coloring(k4):
     t = from_coloring(k4, [1] * 6, 6)
     assert all(t.list_of(i) == (1,) for i in range(6))
