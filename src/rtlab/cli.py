@@ -7,6 +7,9 @@ diagnostics such as cache hits go to stderr so stdout stays byte-identical
 across runs and worker counts.
 
 Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
+`run()` is the process entry of the console script and `python -m
+rtlab.cli`; library callers and tests call `main(argv)`, which returns
+the exit code.
 
 cache, cleaning, counting, graphs and templates are imported inside the
 functions that call them, so a command loads only the modules it runs:
@@ -16,12 +19,10 @@ CPython's built-in module, so no command loads hashlib or OpenSSL; under
 --no-cache nothing is hashed and cache is not loaded.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
-import io
+import gc
 import json
 import os
 import sys
@@ -48,8 +49,7 @@ class InputError(ValueError):
     """Malformed user-supplied input (graph6, JSON, template structure)."""
 
 
-def _rat(x) -> dict:
-    f = Fraction(x)
+def _rat(f) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
@@ -224,7 +224,7 @@ def _payload_container_threshold(p):
     }
 
 
-def _clean_config(t: Template, p):
+def _clean_config(t: "Template", p):
     from .cleaning import CleaningConfig
 
     return CleaningConfig(r=t.r, xi=p["xi"], original_n=t.graph.n, priority=p["priority"])
@@ -256,44 +256,39 @@ def _payload_critical(p):
 def _payload_supersat(p):
     from .cleaning import supersaturation_interval
 
-    iv = supersaturation_interval(p["n"], p["t"], p["k"], p["e"])
+    lo, hi = supersaturation_interval(p["n"], p["t"], p["k"], p["e"])
     return {
         "op": "supersat",
         "n": p["n"],
         "t": p["t"],
         "k": p["k"],
         "edges": p["e"],
-        "lower_bound": _rat(iv[0]),
-        "interval": {"lo": _rat(iv[0]), "hi": _rat(iv[1])},
-        "positive": iv[0] > 0,
+        "lower_bound": _rat(lo),
+        "interval": {"lo": _rat(lo), "hi": _rat(hi)},
+        "positive": lo > 0,
     }
 
 
 # ---------------------------------------------------------------------------
 # emission
 
+# compact with sorted keys: a record's line, a CSV cell holding a dict or list,
+# and an item's key in a batch run without a cache
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(records, fmt: str):
     if fmt == "json":
-        for rec in records:
-            sys.stdout.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        return
-    if not records:
-        return
-    import csv  # its only user; the import costs about 2 ms per call
+        sys.stdout.writelines(_dumps(rec) + "\n" for rec in records)
+    elif records:
+        import csv  # its only user; the import costs about 2 ms per call
 
-    keys = sorted({k for rec in records for k in rec})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    for rec in records:
-        row = []
-        for k in keys:
-            v = rec.get(k, "")
-            if isinstance(v, (dict, list)):
-                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-            row.append(v)
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+        keys = sorted({k for rec in records for k in rec})
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        for rec in records:
+            values = (rec.get(k, "") for k in keys)
+            writer.writerow(_dumps(v) if isinstance(v, (dict, list)) else v for v in values)
 
 
 def _cache_from_args(args):
@@ -301,8 +296,9 @@ def _cache_from_args(args):
         return None
     from .cache import ResultCache
 
-    path = args.cache or os.environ.get("RTL_CACHE") or os.path.expanduser(DEFAULT_CACHE)
-    return ResultCache(path)
+    return ResultCache(
+        args.cache or os.environ.get("RTL_CACHE") or os.path.expanduser(DEFAULT_CACHE)
+    )
 
 
 def _run_batch(op: str, params, build, cache, workers: int):
@@ -319,7 +315,7 @@ def _run_batch(op: str, params, build, cache, workers: int):
 
         fps = [fingerprint(op, p, __version__) for p in params]
     else:
-        fps = [json.dumps(p, sort_keys=True) for p in params]
+        fps = [_dumps(p) for p in params]
     distinct = set(fps)
     payloads = {}
     todo = {}  # fingerprint -> its first parameters, for the misses
@@ -541,8 +537,7 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     cache = _cache_from_args(args)
     try:
         records = args.func(args, cache)
@@ -556,5 +551,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """The `rtl` process, as the console script and `python -m rtlab.cli`
+    run it: main's exit code once stdout is flushed, or 2 when stdout
+    cannot be written.  Its pending output is then dropped, so the flush
+    at exit cannot fail again.  Whatever is alive at the end is frozen,
+    so the interpreter's exit collections skip it; main() called
+    in-process leaves the collector alone."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # from writing stdout; main reports every other OSError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _fail("invalid-argument", exc, 2)
+    finally:
+        gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -610,11 +610,16 @@ def test_readme_command_runs(argv, tmp_path, capsys):
 # console script wiring
 
 
-def test_console_script_subprocess(tmp_path):
-    # the child imports the same rtlab as this test, installed or not
+def _child_env(**extra):
+    """The environment of a child that imports the same rtlab as this test,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, RTL_CACHE=str(tmp_path / "c.jsonl"), PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_console_script_subprocess(tmp_path):
+    env = _child_env(RTL_CACHE=str(tmp_path / "c.jsonl"))
     proc = subprocess.run(
         [sys.executable, "-m", "rtlab.cli", "count", "--graph", K4_G6, "-r", "6"],
         capture_output=True,
@@ -628,8 +633,6 @@ def test_console_script_subprocess(tmp_path):
 def test_cli_import_starts_no_process_machinery():
     # the process pool is imported only where --workers > 1 starts one, and
     # csv only where --format csv writes
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, rtlab.cli; "
         "print(sorted(m for m in sys.modules "
@@ -639,7 +642,7 @@ def test_cli_import_starts_no_process_machinery():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -648,8 +651,6 @@ def test_cli_import_starts_no_process_machinery():
 def test_single_count_runs_in_one_process():
     # --workers parallelizes batch items only; one graph is counted in the
     # calling process, so no pool machinery is even imported
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys; from rtlab import cli; "
         "rc = cli.main(sys.argv[1:]); "
@@ -664,13 +665,110 @@ def test_single_count_runs_in_one_process():
              "--workers", workers, "--no-cache"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["count"] == str(count_colorings(complete_graph(5), 12))
+
+
+def test_console_script_runs_the_process_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"\[project\.scripts\]\n(.*?)\n\n", pyproject, re.S)
+    assert scripts.group(1) == 'rtl = "rtlab.cli:run"'
+
+
+# what `python -m rtlab.cli` ran before it had a process entry of its own
+_MAIN_ONLY = "import sys; from rtlab import cli; sys.exit(cli.main())"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "--graph", "C~", "-r", "6"], 0),
+    (["--version"], 0),
+    (["count", "--graph", "C~"], 2),  # -r is required
+    (["count", "--graph", "C~", "-r", "6", "--work-cap", "1"], 3),
+    (["count", "--graph", "", "-r", "6"], 4),
+], ids=["record", "version", "usage", "cap", "parse"])
+def test_process_entry_keeps_output_and_exit_code(argv, code, tmp_path):
+    runs = []
+    for name, head in (("entry", ["-m", "rtlab.cli"]), ("main", ["-c", _MAIN_ONLY])):
+        env = _child_env(RTL_CACHE=str(tmp_path / f"{name}.jsonl"))
+        runs.append(subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                                   text=True, env=env))
+    entry, main = runs
+    assert (entry.returncode, entry.stdout, entry.stderr) == (main.returncode, main.stdout,
+                                                              main.stderr)
+    assert entry.returncode == code
+    if argv == ["--version"]:
+        assert entry.stdout == f"rtl {cli.__version__}\n"
+    elif code == 0:
+        assert json.loads(entry.stdout)["count"] == "45936"
+    else:
+        assert entry.stdout == "" and entry.stderr
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["count", "--graph", "C~", "-r", "6", "--no-cache"], ""),
+    (["count", "--input", "-", "-r", "6", "--workers", "2", "--no-cache"], "C~\nBw\n"),
+], ids=["one", "pool"])
+def test_process_entry_freezes_at_the_end_and_runs_atexit_handlers(argv, stdin):
+    code = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "runpy.run_module('rtlab.cli', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    assert json.loads(proc.stdout.splitlines()[0])["count"] == "45936"
+
+
+def test_main_in_process_never_freezes_the_collector():
+    # library callers, the tests and the traced bench call main() many
+    # times in one process: their cyclic garbage must stay collectable
+    code = (
+        "import gc, sys; from rtlab import cli\n"
+        "assert cli.main(['count', '--graph', 'C~', '-r', '6', '--no-cache']) == 0\n"
+        "try:\n"
+        "    cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print('frozen', gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "frozen 0\n"
+    assert proc.stdout.splitlines()[1] == f"rtl {cli.__version__}"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_is_one_usage_error(target, unbuffered):
+    # a full device fails with ENOSPC, a pipe without a reader with EPIPE;
+    # buffered, the write fails at the final flush, unbuffered in the write
+    if target == "/dev/full":
+        if not os.path.exists(target):
+            pytest.skip("no /dev/full")
+        fd = os.open(target, os.O_WRONLY)
+    else:
+        reader, fd = os.pipe()
+        os.close(reader)
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtlab.cli", "count", "--graph", "C~", "-r", "6", "--no-cache"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "invalid-argument"
 
 
 # run `rtl ARGV` as the console script does, then list the loaded modules on
@@ -683,13 +781,11 @@ _LOAD_SET = (
 
 
 def _loaded(argv, tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _LOAD_SET, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path, RTL_CACHE=str(tmp_path / "c.jsonl")),
+        env=_child_env(RTL_CACHE=str(tmp_path / "c.jsonl")),
     )
     assert proc.returncode == 0, proc.stderr
     *diagnostics, modules = proc.stderr.splitlines()
