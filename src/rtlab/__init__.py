@@ -74,7 +74,10 @@ _EXPORTS = {
 
 # name -> the submodule that defines it; a submodule maps to itself
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_HOME.update((module, module) for module in (*_EXPORTS, "cache", "cli", "errors", "exactmath"))
+_HOME.update(
+    (module, module)
+    for module in (*_EXPORTS, "cache", "cli", "errors", "exactmath", "records", "rows")
+)
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 

@@ -11,12 +11,15 @@ Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
 rtlab.cli`; library callers and tests call `main(argv)`, which returns
 the exit code.
 
-cache, cleaning, counting, graphs and templates are imported inside the
-functions that call them, so a command loads only the modules it runs:
-`--version` loads containers, errors and numpy; a `count` hit adds cache,
-and a miss counting and graphs.  Cache keys are SHA-256 from
-CPython's built-in module, so no command loads hashlib or OpenSSL; under
---no-cache nothing is hashed and cache is not loaded.
+Only errors and rows, with numpy, are imported at start; every other
+module is imported inside the functions that call it, so a command loads
+only the modules it runs: `--version` loads no more, a `count` hit adds
+cache, and a miss records, counting and graphs.  `records` holds the
+builder of each subcommand's record and loads only when an item misses
+the cache; `containers` loads only in the builders of the two container
+commands, and fractions only where a rational is parsed.  Cache keys are
+SHA-256 from CPython's built-in module, so no command loads hashlib or
+OpenSSL; under --no-cache nothing is hashed and cache is not loaded.
 """
 
 import argparse
@@ -26,31 +29,17 @@ import gc
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-# eager, numpy with it: bench/run.py::import_times needs numpy in `import rtlab.cli`
-from .containers import (
-    C_ELL_BOUND,
-    DEFAULT_MATERIALIZE_CAP,
-    TAU_THRESHOLD,
-    build_rainbow_hypergraph,
-    hypothesis_flags,
-    min_n_for_container,
-)
 from .errors import DEFAULT_WORK_CAP, CapExceeded, Graph6ParseError
-
-# the annotation `Template` is templates.Template, never evaluated
+# eager, numpy with it: bench/run.py::import_times needs numpy in `import rtlab.cli`
+from .rows import DEFAULT_MATERIALIZE_CAP
 
 DEFAULT_CACHE = "~/.cache/rtl/results.jsonl"  # expanduser reads "~/" on every platform
 
 
 class InputError(ValueError):
     """Malformed user-supplied input (graph6, JSON, template structure)."""
-
-
-def _rat(f) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
 # ---------------------------------------------------------------------------
@@ -96,177 +85,13 @@ def _load_template(path: str) -> tuple:
     return t, template_to_json(t)
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# payload builders (top level so worker processes can import them).  Each
-# takes the parameter dict its record is keyed by, and only that: caps and
-# worker counts, which never change a result, are bound beforehand.
-
-def _payload_count(p, *, work_cap):
-    from .counting import count_colorings
-    from .graphs import parse_graph6
-
-    count = count_colorings(parse_graph6(p["graph"]), p["r"], p["k"], work_cap=work_cap)
-    return {"op": "count", **p, "count": str(count)}
-
-
-def _payload_poly(p, *, work_cap):
-    from .counting import partition_polynomial
-    from .graphs import parse_graph6
-
-    g = parse_graph6(p["graph"])
-    poly = partition_polynomial(g, p["k"], work_cap=work_cap)
-    return {"op": "poly", **p, "edges": g.edge_count, "coefficients": [str(c) for c in poly.coeffs]}
-
-
-def _payload_cliques(p):
-    from .graphs import cliques, count_cliques, parse_graph6
-
-    g = parse_graph6(p["graph"])
-    payload = {"op": "cliques", "graph": p["graph"], "k": p["k"], "count": str(count_cliques(g, p["k"]))}
-    if p["list"]:
-        payload["cliques"] = [list(q) for q in cliques(g, p["k"])]
-    return payload
-
-
-def _payload_closeness(p):
-    from .graphs import closeness_to_kpartite, parse_graph6
-
-    res = closeness_to_kpartite(parse_graph6(p["graph"]), p["k"], exact_cap=p["exact_cap"])
-    return {
-        "op": "closeness",
-        "graph": p["graph"],
-        "k": p["k"],
-        "internal_edges": res.internal_edges,
-        "partition": list(res.partition),
-        "exact": res.exact,
-    }
-
-
-def _payload_container_stats(p, *, materialize_cap):
-    from .graphs import parse_graph6
-    from .templates import complete_template
-
-    t = complete_template(parse_graph6(p["graph"]), p["r"])
-    stats, _rows = build_rainbow_hypergraph(t, materialize=p["materialize"], cap=materialize_cap)
-    return {
-        "op": "container-stats",
-        "graph": p["graph"],
-        "r": p["r"],
-        "vertex_count": stats.vertex_count,
-        "edge_count": str(stats.edge_count),
-        "average_degree": _rat(stats.average_degree),
-        "max_codegrees": [str(d) for d in stats.max_codegrees],
-        "materialized": p["materialize"],
-    }
-
-
-def _payload_template_stats(p):
-    from .cleaning import list_size_histogram
-    from .graphs import write_graph6
-    from .templates import count_rainbow_copies, template_from_json
-
-    t = template_from_json(p["template"])
-    hist = list_size_histogram(t)
-    return {
-        "op": "template-stats",
-        "graph": write_graph6(t.graph),
-        "r": t.r,
-        "edges": t.graph.edge_count,
-        "rainbow_copies": str(count_rainbow_copies(t)),
-        "list_histogram": list(hist.counts),
-        "small_lists": hist.small,
-    }
-
-
-def _payload_search(p, *, workers, work_cap):
-    from .counting import rho_max_search
-    from .graphs import parse_graph6
-
-    graphs = None if p["input"] is None else [parse_graph6(code) for code in p["input"]]
-    report = rho_max_search(
-        p["n"], p["r"], p["k"], graphs=graphs, workers=workers, work_cap=work_cap
-    )
-    return {
-        "op": "search",
-        "n": report.n,
-        "r": report.r,
-        "k": report.k,
-        "classes": len(report.table),
-        "best_graph6": report.best_graph6,
-        "best_count": str(report.best_count),
-        "turan_exponent": report.turan_exponent,
-        "turan_count": str(report.turan_count),
-        "best_attains_turan_bound": report.best_attains_turan_bound,
-        "table": [[code, str(cnt)] for code, cnt in report.table],
-    }
-
-
-def _payload_container_threshold(p):
-    r = p["r"]
-    n_min = min_n_for_container(r)
-    _, tau_ok, delta_ok = hypothesis_flags(n_min, r)
-    return {
-        "op": "container-threshold",
-        "r": r,
-        "min_n": str(n_min),
-        "tau_ok_at_min": tau_ok,
-        "delta_ok_at_min": delta_ok,
-        "passes_below": n_min > 1 and all(hypothesis_flags(n_min - 1, r)[1:]),
-        "tau_threshold": _rat(TAU_THRESHOLD),
-        "c_ell_bound": str(C_ELL_BOUND),
-    }
-
-
-def _clean_config(t: "Template", p):
-    from .cleaning import CleaningConfig
-
-    return CleaningConfig(r=t.r, xi=p["xi"], original_n=t.graph.n, priority=p["priority"])
-
-
-def _payload_clean(p):
-    from .cleaning import clean, trace_to_dict
-    from .templates import template_from_json
-
-    t = template_from_json(p["template"])
-    return {"op": "clean", **trace_to_dict(clean(t, _clean_config(t, p)))}
-
-
-def _payload_critical(p):
-    from .cleaning import critical_sets
-    from .templates import template_from_json
-
-    cs = critical_sets(template_from_json(p["template"]), original_n=p["original_n"])
-    return {
-        "op": "critical",
-        "triangles": [list(x) for x in cs.triangles],
-        "edges": [list(x) for x in cs.edges],
-        "vertices": list(cs.vertices),
-        "current_n": cs.current_n,
-        "original_n": cs.original_n,
-    }
-
-
-def _payload_supersat(p):
-    from .cleaning import supersaturation_interval
-
-    lo, hi = supersaturation_interval(p["n"], p["t"], p["k"], p["e"])
-    return {
-        "op": "supersat",
-        "n": p["n"],
-        "t": p["t"],
-        "k": p["k"],
-        "edges": p["e"],
-        "lower_bound": _rat(lo),
-        "interval": {"lo": _rat(lo), "hi": _rat(hi)},
-        "positive": lo > 0,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +126,17 @@ def _cache_from_args(args):
     )
 
 
-def _run_batch(op: str, params, build, cache, workers: int):
-    """Map `build` over the parameter dicts with bounded parallelism; output
-    order is input order regardless of completion order.  Each dict is both
-    the record's cache key and the builder's whole input, so a cached record
-    cannot depend on anything its key leaves out.  Items that share a
-    fingerprint are looked up, computed and stored once; the first lookup
-    reads the records of the whole batch, and its new records are appended
-    together.  Without a cache the keys only deduplicate the batch, so they
-    are the canonical parameter JSON, and `cache` is not imported."""
+def _batch(args, params, cache):
+    """Map the builder of `args.command` over the parameter dicts with
+    bounded parallelism; output order is input order regardless of
+    completion order.  Each dict is both the record's cache key and the
+    builder's whole input, so a cached record cannot depend on anything its
+    key leaves out.  Items that share a fingerprint are looked up, computed
+    and stored once; the first lookup reads the records of the whole batch,
+    and its new records are appended together.  `records` is imported only
+    for the misses.  Without a cache the keys only deduplicate the batch, so
+    they are the canonical parameter JSON, and `cache` is not imported."""
+    op = args.command
     if cache:
         from .cache import fingerprint
 
@@ -329,13 +156,17 @@ def _run_batch(op: str, params, build, cache, workers: int):
         else:
             todo[fp] = p
     if todo:
+        from . import records
+
+        caps = {cap: getattr(args, cap) for cap in args.caps}
+        build = functools.partial(getattr(records, op.replace("-", "_")), **caps)
         tasks = list(todo.values())
         results = []
         try:
-            if workers > 1 and len(tasks) > 1:
+            if args.workers > 1 and len(tasks) > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(max_workers=args.workers) as pool:
                     results.extend(pool.map(build, tasks))
             else:
                 results.extend(map(build, tasks))
@@ -358,11 +189,6 @@ def _run_batch(op: str, params, build, cache, workers: int):
 
 def _keyed(args) -> dict:
     return {key: getattr(args, key) for key in args.keys}
-
-
-def _batch(args, params, cache):
-    build = functools.partial(args.build, **{cap: getattr(args, cap) for cap in args.caps})
-    return _run_batch(args.command, params, build, cache, args.workers)
 
 
 def _cmd_keyed(args, cache):
@@ -396,6 +222,8 @@ def _cmd_template_stats(args, cache):
 
 
 def _cmd_clean(args, cache):
+    from .records import _clean_config
+
     t, text = _load_template(args.template)
     if args.xi is not None:
         xi = _parse_fraction(args.xi)
@@ -438,8 +266,19 @@ def _cmd_bounds_compare(args, cache):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of its output; a failed write of
+    --help or --version to stdout is raised instead, for run() to report."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtl",
         description="Exact-counting laboratory for rainbow-K4-free edge colorings.",
     )
@@ -462,18 +301,18 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("count", "rainbow-free coloring count", (common, graph), func=_cmd_graphs,
-            build=_payload_count, keys=("r", "k"), caps=("work_cap",))
+            keys=("r", "k"), caps=("work_cap",))
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
 
     p = add("poly", "partition polynomial", (common, graph), func=_cmd_graphs,
-            build=_payload_poly, keys=("k",), caps=("work_cap",))
+            keys=("k",), caps=("work_cap",))
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
 
     p = add("search", "maximize the count over n-vertex classes", func=_cmd_search,
-            build=_payload_search, keys=("n", "r", "k"), caps=("workers", "work_cap"))
+            keys=("n", "r", "k"), caps=("workers", "work_cap"))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, default=4)
@@ -481,44 +320,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     p.add_argument("--save-table", help="persist the per-class table as JSONL")
 
-    p = add("template-stats", "template summary", func=_cmd_template_stats,
-            build=_payload_template_stats)
+    p = add("template-stats", "template summary", func=_cmd_template_stats)
     p.add_argument("--template", required=True, help="template JSON file or '-'")
 
     p = add("container-stats", "rainbow hypergraph stats", (common, graph), func=_cmd_graphs,
-            build=_payload_container_stats, keys=("r", "materialize"), caps=("materialize_cap",))
+            keys=("r", "materialize"), caps=("materialize_cap",))
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--materialize", action="store_true")
     p.add_argument("--materialize-cap", type=int, default=DEFAULT_MATERIALIZE_CAP)
 
-    p = add("container-threshold", "least n passing the hypothesis", func=_cmd_keyed,
-            build=_payload_container_threshold, keys=("r",))
+    p = add("container-threshold", "least n passing the hypothesis", func=_cmd_keyed, keys=("r",))
     p.add_argument("-r", type=int, required=True)
 
-    p = add("clean", "run the cleaning procedure", func=_cmd_clean, build=_payload_clean)
+    p = add("clean", "run the cleaning procedure", func=_cmd_clean)
     p.add_argument("--template", required=True)
     xi = p.add_mutually_exclusive_group()
     xi.add_argument("--xi", help="exact rational, e.g. 1/100")
     xi.add_argument("--delta", help="derive xi = delta/(300 e^6)")
     p.add_argument("--priority", default="1,2", choices=("1,2", "2,1"))
 
-    p = add("critical", "critical triangles/edges/vertices", func=_cmd_critical,
-            build=_payload_critical)
+    p = add("critical", "critical triangles/edges/vertices", func=_cmd_critical)
     p.add_argument("--template", required=True)
     p.add_argument("--original-n", type=int, default=None)
 
     p = add("closeness", "distance to k-partite", (common, graph), func=_cmd_graphs,
-            build=_payload_closeness, keys=("k", "exact_cap"))
+            keys=("k", "exact_cap"))
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--exact-cap", type=int, default=14)
 
     p = add("cliques", "count/list k-cliques", (common, graph), func=_cmd_graphs,
-            build=_payload_cliques, keys=("k", "list"))
+            keys=("k", "list"))
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--list", action="store_true")
 
-    p = add("supersat", "supersaturation lower bound", func=_cmd_keyed,
-            build=_payload_supersat, keys=("n", "t", "k", "e"))
+    p = add("supersat", "supersaturation lower bound", func=_cmd_keyed, keys=("n", "t", "k", "e"))
     for flag in ("-n", "-t", "-k", "-e"):
         p.add_argument(flag, type=int, required=True)
 
@@ -553,14 +388,17 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The `rtl` process, as the console script and `python -m rtlab.cli`
-    run it: main's exit code once stdout is flushed, or 2 when stdout
-    cannot be written.  Its pending output is then dropped, so the flush
-    at exit cannot fail again.  Whatever is alive at the end is frozen,
-    so the interpreter's exit collections skip it; main() called
-    in-process leaves the collector alone."""
+    run it: main's exit code, or argparse's exit (--version, --help, a
+    usage error), once stdout is flushed; 2 when stdout cannot be written.
+    Its pending output is then dropped, so the flush at exit cannot fail
+    again.  Whatever is alive at the end is frozen, so the interpreter's
+    exit collections skip it; main() called in-process leaves the
+    collector alone."""
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
     except OSError as exc:  # from writing stdout; main reports every other OSError
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = _fail("invalid-argument", exc, 2)

@@ -18,10 +18,7 @@ from rtlab.cleaning import (
     verify_trace,
 )
 from rtlab.containers import (
-    codegree_from_rows,
     container_hypothesis_check,
-    materialize_rows,
-    max_codegrees_from_rows,
     min_n_for_container,
     structural_average_degree,
     structural_codegree,
@@ -44,6 +41,7 @@ from rtlab.graphs import (
     parse_graph6,
     turan_graph,
 )
+from rtlab.rows import codegree_from_rows, materialize_rows, max_codegrees_from_rows
 from rtlab.templates import (
     Template,
     complete_template,

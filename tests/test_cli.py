@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from rtlab import cache as cache_module
-from rtlab import cli
+from rtlab import cli, records
 from rtlab.cache import ResultCache, fingerprint
 from rtlab.counting import count_colorings
 from rtlab.graphs import complete_graph, enumerate_graphs, parse_graph6, write_graph6
@@ -337,8 +337,8 @@ def test_batch_duplicates_computed_and_stored_once(workers, isolated_cache, tmp_
               for c in set(codes)}
     built = []
     if workers == "1":  # a wrapped builder cannot be sent to worker processes
-        build = cli._payload_count
-        monkeypatch.setattr(cli, "_payload_count",
+        build = records.count
+        monkeypatch.setattr(records, "count",
                             lambda p, **caps: built.append(p["graph"]) or build(p, **caps))
     code, out, _ = run_cli(["count", "--input", str(stream), "-r", "6", "--workers", workers],
                            capsys)
@@ -744,11 +744,10 @@ def test_main_in_process_never_freezes_the_collector():
     assert proc.stdout.splitlines()[1] == f"rtl {cli.__version__}"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
-def test_unwritable_stdout_is_one_usage_error(target, unbuffered):
-    # a full device fails with ENOSPC, a pipe without a reader with EPIPE;
-    # buffered, the write fails at the final flush, unbuffered in the write
+def _unwritable_stdout_exit(argv, target, unbuffered):
+    """(exit code, stderr) of `rtl ARGV` with stdout on a full device
+    (ENOSPC) or a pipe without a reader (EPIPE); buffered, the write fails
+    at the final flush, unbuffered in the write."""
     if target == "/dev/full":
         if not os.path.exists(target):
             pytest.skip("no /dev/full")
@@ -761,14 +760,29 @@ def test_unwritable_stdout_is_one_usage_error(target, unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "rtlab.cli", "count", "--graph", "C~", "-r", "6", "--no-cache"],
-            stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        proc = subprocess.run([sys.executable, "-m", "rtlab.cli", *argv],
+                              stdout=fd, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(fd)
-    assert proc.returncode == 2, proc.stderr
-    assert json.loads(proc.stderr)["error"]["type"] == "invalid-argument"
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_is_one_usage_error(target, unbuffered):
+    code, err = _unwritable_stdout_exit(["count", "--graph", "C~", "-r", "6", "--no-cache"],
+                                        target, unbuffered)
+    assert code == 2, err
+    assert json.loads(err)["error"]["type"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_unwritable_stdout_after_argparse_output_is_one_usage_error(flag, unbuffered):
+    # argparse writes these and exits 0; on its own it drops a failed write
+    code, err = _unwritable_stdout_exit([flag], "/dev/full", unbuffered)
+    assert code == 2, err
+    assert json.loads(err)["error"]["type"] == "invalid-argument"
 
 
 # run `rtl ARGV` as the console script does, then list the loaded modules on
@@ -805,23 +819,33 @@ def startup_modules(tmp_path_factory):
     return _loaded(["--version"], tmp_path_factory.mktemp("version"))[0]
 
 
+# numpy and rows load at start, because bench/run.py::import_times reads
+# numpy's line from `import rtlab.cli`; containers, and fractions and decimal
+# with it, load only where a container record or a rational is built
+_START = {"numpy", "rtlab.errors", "rtlab.rows"}
+_NOT_RUN = {"rtlab.containers", "fractions", "decimal"}
+
+
 @pytest.mark.parametrize("argv, loads, skips", [
-    # numpy, because bench/run.py::import_times reads its line from `import rtlab.cli`
-    (["--version"], {"numpy", "rtlab.containers", "rtlab.errors"},
+    (["--version"], _START,
      {"rtlab.cleaning", "rtlab.counting", "rtlab.cache", "rtlab.graphs", "rtlab.templates",
-      "rtlab.exactmath", *_OPENSSL}),
-    (["count", "--graph", "C~", "-r", "6", "--no-cache"], {"rtlab.counting", "rtlab.graphs"},
-     {"rtlab.cleaning", "rtlab.templates", "rtlab.exactmath", *_OPENSSL}),
+      "rtlab.exactmath", "rtlab.records", *_NOT_RUN, *_OPENSSL}),
+    (["count", "--graph", "C~", "-r", "6", "--no-cache"],
+     {*_START, "rtlab.records", "rtlab.counting", "rtlab.graphs"},
+     {"rtlab.cleaning", "rtlab.templates", "rtlab.exactmath", *_NOT_RUN, *_OPENSSL}),
     # counting and templates hold their own combinatorial helpers; only the
     # certified arithmetic of cleaning and the container thresholds loads exactmath
-    (["poly", "--graph", "C~", "--no-cache"], {"rtlab.counting"}, {"rtlab.exactmath"}),
-    (["search", "-n", "4", "-r", "6", "--no-cache"], {"rtlab.counting"}, {"rtlab.exactmath"}),
+    (["poly", "--graph", "C~", "--no-cache"], {*_START, "rtlab.counting"},
+     {"rtlab.exactmath", *_NOT_RUN}),
+    (["search", "-n", "4", "-r", "6", "--no-cache"], {*_START, "rtlab.counting"},
+     {"rtlab.exactmath", *_NOT_RUN}),
     (["bounds-compare", "-r", "12", "-k", "4"], {"rtlab.counting"}, {"rtlab.exactmath"}),
-    (["container-stats", "--graph", "C~", "-r", "6", "--no-cache"], {"rtlab.graphs"},
-     {"rtlab.exactmath"}),
+    (["container-stats", "--graph", "C~", "-r", "6", "--no-cache"],
+     {"rtlab.containers", "rtlab.graphs"}, {"rtlab.exactmath"}),
     (["container-stats", "--graph", "C~", "-r", "6", "--materialize", "--no-cache"],
-     {"rtlab.templates"}, {"rtlab.exactmath"}),
-    (["container-threshold", "-r", "6", "--no-cache"], {"rtlab.exactmath"}, {"rtlab.counting"}),
+     {"rtlab.containers", "rtlab.templates"}, {"rtlab.exactmath"}),
+    (["container-threshold", "-r", "6", "--no-cache"], {"rtlab.containers", "rtlab.exactmath"},
+     {"rtlab.counting"}),
     (["supersat", "-n", "6", "-t", "1", "-k", "3", "-e", "15", "--no-cache"], {"rtlab.cleaning"},
      {"rtlab.counting", *_OPENSSL}),
 ], ids=["version", "count", "poly", "search", "bounds-compare", "container-stats",
@@ -843,7 +867,7 @@ def test_cache_hit_loads_no_compute_module(tmp_path):
     assert _BUILTIN_SHA & loaded and not _OPENSSL & loaded
     loaded, diagnostics = _loaded(argv, tmp_path)
     assert diagnostics[0].startswith("# cache hit ")
-    assert {"rtlab.cache", "rtlab.containers", "rtlab.errors", "numpy"} <= loaded
+    assert {*_START, "rtlab.cache"} <= loaded
     assert _BUILTIN_SHA & loaded
     assert not {"rtlab.counting", "rtlab.cleaning", "rtlab.graphs", "rtlab.templates",
-                "rtlab.exactmath", *_OPENSSL} & loaded
+                "rtlab.exactmath", "rtlab.records", *_NOT_RUN, *_OPENSSL} & loaded

@@ -18,15 +18,12 @@ from rtlab.containers import (
     RainbowHypergraphStats,
     build_rainbow_hypergraph,
     codegree,
-    codegree_from_rows,
     container_constants,
     container_hypothesis_check,
     delta_tau,
     hypothesis_flags,
     is_complete_on_complete_host,
-    materialize_rows,
     max_codegree,
-    max_codegrees_from_rows,
     min_n_for_container,
     structural_average_degree,
     structural_codegree,
@@ -34,6 +31,14 @@ from rtlab.containers import (
 )
 from rtlab.errors import CapExceeded
 from rtlab.graphs import Graph, clique_edge_ids, complete_graph, enumerate_graphs, turan_graph
+from rtlab.rows import (
+    _BLOCK_ROWS,
+    _k4_blocks,
+    _k4_rows,
+    codegree_from_rows,
+    materialize_rows,
+    max_codegrees_from_rows,
+)
 from rtlab.templates import (
     Template,
     complete_template,
@@ -250,11 +255,11 @@ def _three_ways(t, rows, base, monkeypatch) -> set:
     blocks of K4s joined up to 64 rows."""
     ends = itertools.accumulate(k4_rainbow_copies(t).values(), initial=0)
     k4s = [rows[a:b] for a, b in itertools.pairwise(ends)]
-    monkeypatch.setattr(containers, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr("rtlab.rows._BLOCK_ROWS", 64)
     return {
         max_codegrees_from_rows(rows, base),
         max_codegrees_from_rows(iter(k4s), base),
-        max_codegrees_from_rows(containers._k4_blocks(iter(k4s)), base),
+        max_codegrees_from_rows(_k4_blocks(iter(k4s)), base),
     }
 
 
@@ -560,11 +565,11 @@ def test_k4_blocks_count_like_one_block(monkeypatch):
         rows = materialize_rows(t)
         cases.append((t, rows, max_codegrees_from_rows(rows, t.graph.edge_count * t.r)))
     assert sum(want != (0, 0, 0, 0, 0) for _, _, want in cases) >= 20
-    for block_rows in (1, containers._BLOCK_ROWS):
-        monkeypatch.setattr(containers, "_BLOCK_ROWS", block_rows)
+    for block_rows in (1, _BLOCK_ROWS):
+        monkeypatch.setattr("rtlab.rows._BLOCK_ROWS", block_rows)
         for t, rows, want in cases:
             base = t.graph.edge_count * t.r
-            blocks = containers._k4_blocks(containers._k4_rows(t))
+            blocks = _k4_blocks(_k4_rows(t))
             assert max_codegrees_from_rows(blocks, base) == want
             stats, held = build_rainbow_hypergraph(t, materialize=True)
             assert stats.max_codegrees == want and np.array_equal(held, rows)
@@ -574,7 +579,7 @@ def test_k4_blocks_count_like_one_block(monkeypatch):
     for n, r in CODEGREE_GRID:
         t = complete_template(complete_graph(n), r)
         base = t.graph.edge_count * r
-        got = max_codegrees_from_rows(containers._k4_blocks(containers._k4_rows(t)), base)
+        got = max_codegrees_from_rows(_k4_blocks(_k4_rows(t)), base)
         assert got == structural_max_codegrees(n, r)
         if count_rainbow_copies(t) < 10 ** 6:
             assert max_codegrees_from_rows(materialize_rows(t), base) == got
@@ -610,6 +615,22 @@ def test_materialized_k5_r9_holds_at_most_one_mib_beyond_its_rows():
     assert stats.max_codegrees == (1680, 240, 20, 4, 1)
     assert (rows.dtype, rows.nbytes) == (np.uint8, 1814400)
     assert peak - rows.nbytes <= 2 ** 20
+
+
+def test_streamed_k5_r9_holds_one_k4_block_at_a_time():
+    # each of K5's five K4s is a block of 60,480 rows at r=9; the counter
+    # lets go of a block and its column copy, and the block maker of the
+    # last K4's rows, before the next K4's rows are made (two blocks held
+    # at once peaked at 1,802,228 bytes)
+    t = complete_template(complete_graph(5), 9)
+    tracemalloc.start()
+    try:
+        got = max_codegrees_from_rows(_k4_blocks(_k4_rows(t)), 90)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == structural_max_codegrees(5, 9)
+    assert peak < 1.5 * 2 ** 20
 
 
 def _row_order_template(rng: random.Random) -> Template:

@@ -39,7 +39,7 @@ EXPORTS = {
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 SUBMODULES = ["cache", "cleaning", "cli", "containers", "counting", "errors", "exactmath",
-              "graphs", "templates"]
+              "graphs", "records", "rows", "templates"]
 
 
 def test_all_lists_the_exported_names():

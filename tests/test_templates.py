@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtlab import templates
-from rtlab.containers import materialize_rows
 from rtlab.errors import UnsupportedSizeError
 from rtlab.counting import stirling2_row
 from rtlab.graphs import Graph, complete_graph
+from rtlab.rows import materialize_rows
 from rtlab.templates import (
     SET_PARTITIONS,
     Template,
