@@ -116,33 +116,29 @@ def _emit(records, fmt: str):
             writer.writerow(_dumps(v) if isinstance(v, (dict, list)) else v for v in values)
 
 
-def _cache_from_args(args):
-    if args.no_cache:
-        return None
-    from .cache import ResultCache
-
-    return ResultCache(
-        args.cache or os.environ.get("RTL_CACHE") or os.path.expanduser(DEFAULT_CACHE)
-    )
-
-
-def _batch(args, params, cache):
+def _batch(args, params):
     """Map the builder of `args.command` over the parameter dicts with
     bounded parallelism; output order is input order regardless of
     completion order.  Each dict is both the record's cache key and the
     builder's whole input, so a cached record cannot depend on anything its
     key leaves out.  Items that share a fingerprint are looked up, computed
     and stored once; the first lookup reads the records of the whole batch,
-    and its new records are appended together.  `records` is imported only
-    for the misses.  Without a cache the keys only deduplicate the batch, so
-    they are the canonical parameter JSON, and `cache` is not imported."""
+    and its new records are appended together.  A cached payload that is not
+    a JSON object is no record of any builder, so it is a miss.  `records` is
+    imported only for the misses.  Without a cache the keys only deduplicate
+    the batch, so they are the canonical parameter JSON, and `cache` is not
+    imported."""
     op = args.command
-    if cache:
-        from .cache import fingerprint
-
-        fps = [fingerprint(op, p, __version__) for p in params]
-    else:
+    if args.no_cache:
+        cache = None
         fps = [_dumps(p) for p in params]
+    else:
+        from .cache import ResultCache, fingerprint
+
+        cache = ResultCache(
+            args.cache or os.environ.get("RTL_CACHE") or os.path.expanduser(DEFAULT_CACHE)
+        )
+        fps = [fingerprint(op, p, __version__) for p in params]
     distinct = set(fps)
     payloads = {}
     todo = {}  # fingerprint -> its first parameters, for the misses
@@ -150,7 +146,7 @@ def _batch(args, params, cache):
         if fp in payloads or fp in todo:
             continue
         hit = cache.lookup(fp, distinct) if cache else None
-        if hit is not None:
+        if isinstance(hit, dict):
             payloads[fp] = hit
             print(f"# cache hit {fp}", file=sys.stderr)
         else:
@@ -166,7 +162,8 @@ def _batch(args, params, cache):
             if args.workers > 1 and len(tasks) > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                # a fork pool starts all its workers up front, needed or not
+                with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
                     results.extend(pool.map(build, tasks))
             else:
                 results.extend(map(build, tasks))
@@ -191,24 +188,24 @@ def _keyed(args) -> dict:
     return {key: getattr(args, key) for key in args.keys}
 
 
-def _cmd_keyed(args, cache):
-    return _batch(args, [_keyed(args)], cache)
+def _cmd_keyed(args):
+    return _batch(args, [_keyed(args)])
 
 
-def _cmd_graphs(args, cache):
+def _cmd_graphs(args):
     if args.input is not None:
         codes = _read_stream(args.input)
     elif args.graph is not None:
         codes = [_read_graph_arg(args.graph)]
     else:
         raise InputError("need --graph or --input")
-    return _batch(args, [{"graph": code, **_keyed(args)} for code in codes], cache)
+    return _batch(args, [{"graph": code, **_keyed(args)} for code in codes])
 
 
-def _cmd_search(args, cache):
+def _cmd_search(args):
     # a repeated code is one class, so it is left out of the key as well
     codes = None if args.input is None else list(dict.fromkeys(_read_stream(args.input)))
-    records = _batch(args, [{**_keyed(args), "input": codes}], cache)
+    records = _batch(args, [{**_keyed(args), "input": codes}])
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:
             for code, cnt in records[0]["table"]:
@@ -216,12 +213,12 @@ def _cmd_search(args, cache):
     return records
 
 
-def _cmd_template_stats(args, cache):
+def _cmd_template_stats(args):
     _, text = _load_template(args.template)
-    return _batch(args, [{"template": text}], cache)
+    return _batch(args, [{"template": text}])
 
 
-def _cmd_clean(args, cache):
+def _cmd_clean(args):
     from .records import _clean_config
 
     t, text = _load_template(args.template)
@@ -236,18 +233,18 @@ def _cmd_clean(args, cache):
     priority = [int(x) for x in args.priority.split(",")]
     params = {"template": text, "xi": str(xi), "priority": priority}
     _clean_config(t, params)  # refuse a bad xi or template before the cache is read
-    return _batch(args, [params], cache)
+    return _batch(args, [params])
 
 
-def _cmd_critical(args, cache):
+def _cmd_critical(args):
     t, text = _load_template(args.template)
     original_n = t.graph.n if args.original_n is None else args.original_n
     if original_n < 1:
         raise ValueError("original_n must be >= 1")
-    return _batch(args, [{"template": text, "original_n": original_n}], cache)
+    return _batch(args, [{"template": text, "original_n": original_n}])
 
 
-def _cmd_bounds_compare(args, cache):
+def _cmd_bounds_compare(args):
     from .counting import bounds_compare
 
     verdict = bounds_compare(args.r, args.k)
@@ -346,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("closeness", "distance to k-partite", (common, graph), func=_cmd_graphs,
             keys=("k", "exact_cap"))
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--exact-cap", type=int, default=14)
+    p.add_argument("--exact-cap", type=int, default=14,
+                   help="most vertices answered (default %(default)s); a larger host exits 3")
 
     p = add("cliques", "count/list k-cliques", (common, graph), func=_cmd_graphs,
             keys=("k", "list"))
@@ -372,10 +370,12 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cache = _cache_from_args(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, not {args.workers}")
     try:
-        records = args.func(args, cache)
+        records = args.func(args)
     except CapExceeded as exc:
         return _fail("cap-exceeded", exc, 3)
     except (Graph6ParseError, InputError, json.JSONDecodeError) as exc:

@@ -395,7 +395,8 @@ def rho_max_search(
     if workers > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers up front, needed or not
+        with ProcessPoolExecutor(max_workers=min(workers, len(graphs))) as pool:
             counts = list(pool.map(_search_task, [(c, r, k) for c in codes]))
     else:
         counts = [count_colorings(g, r, k) for g in graphs]

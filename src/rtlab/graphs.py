@@ -1,5 +1,6 @@
 """Dense small-graph core: bitset graphs, Turan graphs, clique machinery,
-k-partite closeness, isomorphism-free enumeration, and graph6 I/O.
+exact k-partite closeness (refused above a vertex cap), isomorphism-free
+enumeration, and graph6 I/O.
 
 Graphs are capped at 64 vertices so every adjacency row fits one machine
 word.  Edges carry a fixed identity: the lexicographic position of (u, v),
@@ -13,7 +14,7 @@ import itertools
 from math import comb
 from typing import NamedTuple
 
-from .errors import Graph6ParseError, UnsupportedSizeError
+from .errors import CapExceeded, Graph6ParseError, UnsupportedSizeError
 
 MAX_VERTICES = 64
 ENUM_CAP = 6  # internal isomorphism rejection is permutation-based
@@ -180,30 +181,26 @@ def clique_edge_ids(g: Graph, k: int) -> list:
 class ClosenessResult(NamedTuple):
     internal_edges: int
     partition: tuple
-    exact: bool
 
 
 def closeness_to_kpartite(g: Graph, k: int, exact_cap: int = 14) -> ClosenessResult:
-    """Minimum number of edges inside classes over all k-partitions of V.
+    """Minimum number of edges inside classes over all k-partitions of V,
+    with a partition that attains it.
 
-    Exact (branch and bound over canonical class assignments) for
-    n <= exact_cap; beyond that a deterministic local-search upper bound
-    is returned with exact=False.
+    Always exact: a branch and bound over canonical class assignments.
+    Its search is exponential in n, so for k >= 2 a host with more than
+    `exact_cap` vertices is refused with CapExceeded; the empty host and
+    k = 1 are answered at any n.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = g.n
     if n == 0:
-        return ClosenessResult(0, (), True)
+        return ClosenessResult(0, ())
     if k == 1:
-        return ClosenessResult(g.edge_count, (0,) * n, True)
-    if n <= exact_cap:
-        return _closeness_exact(g, k)
-    return _closeness_local_search(g, k)
-
-
-def _closeness_exact(g: Graph, k: int) -> ClosenessResult:
-    n = g.n
+        return ClosenessResult(g.edge_count, (0,) * n)
+    if n > exact_cap:
+        raise CapExceeded(f"{n} vertices exceeds exact cap {exact_cap}", estimate=n, cap=exact_cap)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     best_cost = g.edge_count + 1
     best_assign = None
@@ -231,45 +228,7 @@ def _closeness_exact(g: Graph, k: int) -> ClosenessResult:
         assign[v] = -1
 
     rec(0, 0, 0)
-    return ClosenessResult(best_cost, best_assign, True)
-
-
-def _closeness_local_search(g: Graph, k: int, restarts: int = 8) -> ClosenessResult:
-    import random
-
-    n = g.n
-    rng = random.Random(0xC105E)
-    best_cost = None
-    best_assign = None
-    base_order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    for trial in range(restarts):
-        order = list(base_order)
-        if trial:
-            rng.shuffle(order)
-        assign = [0] * n
-        masks = [0] * k
-        for v in order:
-            c = min(range(k), key=lambda c: bin(g.adj[v] & masks[c]).count("1"))
-            assign[v] = c
-            masks[c] |= 1 << v
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                cur = assign[v]
-                masks[cur] ^= 1 << v
-                costs = [bin(g.adj[v] & masks[c]).count("1") for c in range(k)]
-                c = min(range(k), key=lambda c: (costs[c], c))
-                if costs[c] < costs[cur]:
-                    improved = True
-                    assign[v] = c
-                    masks[c] |= 1 << v
-                else:
-                    masks[cur] |= 1 << v
-        cost = sum(bin(g.adj[u] & masks[assign[u]]).count("1") for u in range(n)) // 2
-        if best_cost is None or cost < best_cost:
-            best_cost, best_assign = cost, tuple(assign)
-    return ClosenessResult(best_cost, best_assign, False)
+    return ClosenessResult(best_cost, best_assign)
 
 
 # ---------------------------------------------------------------------------

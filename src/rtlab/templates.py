@@ -304,7 +304,10 @@ def _json_int(x, what: str) -> int:
 
 
 def template_from_dict(d: dict) -> Template:
-    g = parse_graph6(d["graph"])
+    code = d["graph"]
+    if not isinstance(code, str):
+        raise ValueError(f"graph must be a graph6 string, not {code!r}")
+    g = parse_graph6(code)
     r = _json_int(d["r"], "r")
     lists = d["lists"]
     if len(lists) != g.edge_count:

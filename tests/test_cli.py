@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import multiprocessing
@@ -406,6 +407,21 @@ def test_batch_appends_its_new_records_with_one_open(isolated_cache, tmp_path, c
         assert line == json.dumps(expect, sort_keys=True, separators=(",", ":")).encode()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cached_payload_that_is_not_an_object_is_a_miss(fmt, isolated_cache, capsys):
+    argv = ["count", "--graph", "C~", "-r", "6", "--format", fmt]
+    expect = run_cli([*argv, "--no-cache"], capsys)[1]
+    fp = fingerprint("count", {"graph": "C~", "r": 6, "k": 4}, cli.__version__)
+    ResultCache(str(isolated_cache)).store("count", [(fp, [1, 2])], cli.__version__)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, expect) and "cache hit" not in err
+    # recomputed and appended, so the next call is a hit on the new record
+    payloads = [json.loads(line)["payload"] for line in isolated_cache.read_text().splitlines()]
+    assert payloads == [[1, 2], {"op": "count", "graph": "C~", "r": 6, "k": 4, "count": "45936"}]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, expect) and err.startswith("# cache hit ")
+
+
 def _stress_writer(args):
     path, worker = args
     cache = ResultCache(path)
@@ -449,6 +465,18 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "cap-exceeded"
     code, _, err = run_cli(["count", "--graph", big, "-r", "12", "--work-cap", "100"], capsys)
     assert code == 3
+
+
+def test_closeness_above_the_exact_cap_is_refused(capsys):
+    # T3(15) and one edge inside a class: one vertex over the default cap
+    argv = ["closeness", "--graph", "N_B~vrw}F~~}~{~{^}?", "-k", "3", "--no-cache"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {
+        "type": "cap-exceeded", "message": "15 vertices exceeds exact cap 14"
+    }
+    recs, _ = run_json([*argv, "--exact-cap", "15"], capsys)
+    assert recs[0]["internal_edges"] == 1 and recs[0]["exact"] is True
 
 
 def test_work_cap_counts_blocks(capsys):
@@ -527,6 +555,43 @@ def test_conflicting_inputs_are_usage_errors(argv, capsys):
     assert out == "" and "not allowed with argument" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_usage_error(workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--graph", "C~", "-r", "6", "--workers", workers, "--no-cache"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --workers: must be at least 1" in err
+
+
+def test_pools_start_no_more_workers_than_items(capsys, monkeypatch):
+    # a fork pool starts max_workers processes up front; this stand-in
+    # records the size asked for and maps in this process, starting none
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\nBw\n"))
+    recs, _ = run_json(["count", "--input", "-", "-r", "6", "--workers", "64", "--no-cache"],
+                       capsys)
+    assert [rec["graph"] for rec in recs] == ["C~", "Bw"]
+    recs, _ = run_json(["search", "-n", "3", "-r", "6", "--workers", "64", "--no-cache"], capsys)
+    assert recs[0]["classes"] == 4
+    assert sizes == [2, 4]
+
+
 def test_missing_graph_input_is_parse_error(capsys):
     code, _, err = run_cli(["count", "-r", "6"], capsys)
     assert code == 4
@@ -561,6 +626,20 @@ def test_template_parse_error_exit(tmp_path, capsys):
         assert code == 4 and out == ""
         message = json.loads(err)["error"]["message"]
         assert message.startswith("bad template JSON: ") and "must be an integer" in message
+
+
+@pytest.mark.parametrize("graph", [5, None, ["C~"]], ids=["number", "null", "list"])
+@pytest.mark.parametrize("argv", [["template-stats"], ["clean", "--xi", "1/100"], ["critical"]],
+                         ids=["template-stats", "clean", "critical"])
+def test_template_graph_that_is_not_a_string_is_parse_error(graph, argv, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"graph": graph, "r": 6, "lists": []}))
+    code, out, err = run_cli([*argv, "--template", str(path), "--no-cache"], capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == {
+        "type": "parse-error",
+        "message": f"bad template JSON: graph must be a graph6 string, not {graph!r}",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +918,9 @@ _NOT_RUN = {"rtlab.containers", "fractions", "decimal"}
      {"rtlab.exactmath", *_NOT_RUN}),
     (["search", "-n", "4", "-r", "6", "--no-cache"], {*_START, "rtlab.counting"},
      {"rtlab.exactmath", *_NOT_RUN}),
-    (["bounds-compare", "-r", "12", "-k", "4"], {"rtlab.counting"}, {"rtlab.exactmath"}),
+    # bounds-compare computes its record directly and reads no cache
+    (["bounds-compare", "-r", "12", "-k", "4"], {"rtlab.counting"},
+     {"rtlab.exactmath", "rtlab.cache"}),
     (["container-stats", "--graph", "C~", "-r", "6", "--no-cache"],
      {"rtlab.containers", "rtlab.graphs"}, {"rtlab.exactmath"}),
     (["container-stats", "--graph", "C~", "-r", "6", "--materialize", "--no-cache"],

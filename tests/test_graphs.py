@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_is_isomorphic, cycle_graph
-from rtlab.errors import Graph6ParseError, UnsupportedSizeError
+from rtlab.errors import CapExceeded, Graph6ParseError, UnsupportedSizeError
 from rtlab.graphs import (
     Graph,
     all_pairs,
@@ -168,7 +168,6 @@ def test_closeness_examples(k4, k6):
     assert closeness_to_kpartite(turan_graph(9, 3), 3).internal_edges == 0
     res = closeness_to_kpartite(k6, 3)
     assert res.internal_edges == 3
-    assert res.exact
     assert _closeness_brute(k6, 3) == 3  # independent exhaustive derivation
 
 
@@ -176,7 +175,6 @@ def test_closeness_witness_is_consistent(classes5):
     for g in classes5:
         for k in (2, 3):
             res = closeness_to_kpartite(g, k)
-            assert res.exact
             assert internal_edge_count(g, res.partition) == res.internal_edges
             assert max(res.partition, default=0) < k
             assert res.internal_edges == _closeness_brute(g, k)
@@ -192,17 +190,24 @@ def test_closeness_zero_iff_kpartite(classes5):
             assert (closeness_to_kpartite(g, k).internal_edges == 0) == _is_kpartite(g, k)
 
 
-def test_closeness_heuristic_flagged(k6):
-    res = closeness_to_kpartite(k6, 3, exact_cap=4)
-    assert not res.exact
-    assert res.internal_edges >= 3  # heuristic is an upper bound
-    assert internal_edge_count(k6, res.partition) == res.internal_edges
+def test_closeness_refuses_hosts_above_the_cap(k6):
+    t3_15e = parse_graph6("N_B~vrw}F~~}~{~{^}?")  # T3(15) and one edge inside a class
+    for g, k, cap in ((k6, 3, 4), (k6, 2, 5), (t3_15e, 3, 14), (complete_graph(64), 2, 14)):
+        with pytest.raises(CapExceeded) as exc:
+            closeness_to_kpartite(g, k, exact_cap=cap)
+        assert (exc.value.estimate, exc.value.cap) == (g.n, cap)
+    res = closeness_to_kpartite(t3_15e, 3, exact_cap=15)
+    assert res.internal_edges == 1 == internal_edge_count(t3_15e, res.partition)
+    assert closeness_to_kpartite(complete_graph(15), 2, exact_cap=15).internal_edges == 49
 
 
 def test_closeness_degenerate():
+    # the empty host and k = 1 need no search, so no cap refuses them
     assert closeness_to_kpartite(Graph(0, []), 3).internal_edges == 0
+    assert closeness_to_kpartite(Graph(0, []), 3, exact_cap=-1).partition == ()
     g = complete_graph(3)
     assert closeness_to_kpartite(g, 1).internal_edges == 3
+    assert closeness_to_kpartite(complete_graph(20), 1) == (190, (0,) * 20)
 
 
 # ---------------------------------------------------------------------------
