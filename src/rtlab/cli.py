@@ -8,8 +8,10 @@ across runs and worker counts.
 
 Exit codes: 0 success, 2 usage error, 3 cap exceeded, 4 input parse error.
 `run()` is the process entry of the console script and `python -m
-rtlab.cli`; library callers and tests call `main(argv)`, which returns
-the exit code.
+rtlab.cli`, and it never returns: it runs the atexit handlers, flushes
+stdout and stderr and ends the process with `os._exit`, so the
+interpreter's teardown is skipped.  Library callers and tests call
+`main(argv)`, which returns the exit code.
 
 Only errors and rows, with numpy, are imported at start; every other
 module is imported inside the functions that call it, so a command loads
@@ -23,12 +25,14 @@ OpenSSL; under --no-cache nothing is hashed and cache is not loaded.
 """
 
 import argparse
+import atexit
 import contextlib
 import functools
 import gc
 import json
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .errors import DEFAULT_WORK_CAP, CapExceeded, Graph6ParseError
@@ -123,8 +127,9 @@ def _batch(args, params):
     builder's whole input, so a cached record cannot depend on anything its
     key leaves out.  Items that share a fingerprint are looked up, computed
     and stored once; the first lookup reads the records of the whole batch,
-    and its new records are appended together.  A cached payload that is not
-    a JSON object is no record of any builder, so it is a miss.  `records` is
+    and its new records are appended together.  Every builder's record is a
+    JSON object naming its command in "op", so a cached payload that is not
+    such an object for `args.command` is a miss.  `records` is
     imported only for the misses.  Without a cache the keys only deduplicate
     the batch, so they are the canonical parameter JSON, and `cache` is not
     imported."""
@@ -146,7 +151,7 @@ def _batch(args, params):
         if fp in payloads or fp in todo:
             continue
         hit = cache.lookup(fp, distinct) if cache else None
-        if isinstance(hit, dict):
+        if isinstance(hit, dict) and hit.get("op") == op:
             payloads[fp] = hit
             print(f"# cache hit {fp}", file=sys.stderr)
         else:
@@ -386,26 +391,32 @@ def main(argv=None) -> int:
     return 0
 
 
-def run() -> int:
+def run() -> NoReturn:
     """The `rtl` process, as the console script and `python -m rtlab.cli`
-    run it: main's exit code, or argparse's exit (--version, --help, a
-    usage error), once stdout is flushed; 2 when stdout cannot be written.
-    Its pending output is then dropped, so the flush at exit cannot fail
-    again.  Whatever is alive at the end is frozen, so the interpreter's
-    exit collections skip it; main() called in-process leaves the
-    collector alone."""
+    run it; it never returns.  The exit code is main's, or argparse's exit
+    (--version, --help, a usage error), once stdout is flushed; 2 when
+    stdout cannot be written, whose pending output is then dropped so no
+    later flush fails again.  The import-time heap is frozen first, so the
+    collections inside main skip it.  The process then runs its atexit
+    handlers, flushes stdout and stderr and ends with `os._exit`: module
+    teardown and the interpreter's exit collections never run.  Any other
+    exception reaches the interpreter's traceback and exit 1.  main()
+    called in-process freezes nothing and skips no teardown."""
+    gc.freeze()
     try:
         try:
             code = main()
-        finally:
-            sys.stdout.flush()
+        except SystemExit as exc:  # argparse exits with an int status or none
+            code = 0 if exc.code is None else exc.code
+        sys.stdout.flush()
     except OSError as exc:  # from writing stdout; main reports every other OSError
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = _fail("invalid-argument", exc, 2)
-    finally:
-        gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

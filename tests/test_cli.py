@@ -422,6 +422,19 @@ def test_cached_payload_that_is_not_an_object_is_a_miss(fmt, isolated_cache, cap
     assert (code, out) == (0, expect) and err.startswith("# cache hit ")
 
 
+
+@pytest.mark.parametrize("payload", [{}, {"op": "poly", "graph": "C~", "k": 4, "edges": 6,
+                                          "coefficients": ["1"]}], ids=["empty", "other-op"])
+def test_cached_payload_of_another_record_is_a_miss(payload, isolated_cache, capsys):
+    argv = ["count", "--graph", "C~", "-r", "6"]
+    expect = run_cli([*argv, "--no-cache"], capsys)[1]
+    fp = fingerprint("count", {"graph": "C~", "r": 6, "k": 4}, cli.__version__)
+    ResultCache(str(isolated_cache)).store("count", [(fp, payload)], cli.__version__)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, expect) and "cache hit" not in err
+    payloads = [json.loads(line)["payload"] for line in isolated_cache.read_text().splitlines()]
+    assert payloads == [payload, json.loads(expect)]
+
 def _stress_writer(args):
     path, worker = args
     cache = ResultCache(path)
@@ -763,29 +776,74 @@ def test_console_script_runs_the_process_entry():
 _MAIN_ONLY = "import sys; from rtlab import cli; sys.exit(cli.main())"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["count", "--graph", "C~", "-r", "6"], 0),
-    (["--version"], 0),
-    (["count", "--graph", "C~"], 2),  # -r is required
-    (["count", "--graph", "C~", "-r", "6", "--work-cap", "1"], 3),
-    (["count", "--graph", "", "-r", "6"], 4),
-], ids=["record", "version", "usage", "cap", "parse"])
-def test_process_entry_keeps_output_and_exit_code(argv, code, tmp_path):
-    runs = []
+# K12's 792 5-cliques: more output than one buffer of stdout holds
+_LARGE = ["cliques", "--graph", "K~~~~~~~~~~~", "-k", "5", "--list"]
+# the one field of a cache line that differs between two runs
+_STAMP = re.compile(r'"timestamp":"[^"]*"')
+
+
+@pytest.mark.parametrize("argv, code, hit", [
+    (["count", "--graph", "C~", "-r", "6"], 0, False),
+    (["--version"], 0, False),
+    (["count", "--graph", "C~"], 2, False),  # -r is required
+    (["count", "--graph", "C~", "-r", "6", "--work-cap", "1"], 3, False),
+    (["count", "--graph", "", "-r", "6"], 4, False),
+    (["--help"], 0, False),
+    (["count", "--graph", "C~", "-r", "6"], 0, True),
+    (_LARGE, 0, False),
+    ([*_LARGE, "--format", "csv"], 0, False),
+    (["search", "-n", "5", "-r", "6", "--save-table", "table.jsonl"], 0, False),
+], ids=["record", "version", "usage", "cap", "parse", "help", "hit", "large", "large-csv",
+        "save-table"])
+def test_process_entry_keeps_output_and_exit_code(argv, code, hit, tmp_path):
+    runs, files = [], []
     for name, head in (("entry", ["-m", "rtlab.cli"]), ("main", ["-c", _MAIN_ONLY])):
-        env = _child_env(RTL_CACHE=str(tmp_path / f"{name}.jsonl"))
-        runs.append(subprocess.run([sys.executable, *head, *argv], capture_output=True,
-                                   text=True, env=env))
+        cwd = tmp_path / name
+        cwd.mkdir()
+        env = _child_env(RTL_CACHE=str(cwd / "cache.jsonl"))
+        for _ in range(1 + hit):  # a hit is the second call on one cache
+            proc = subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                                  text=True, env=env, cwd=cwd)
+        runs.append(proc)
+        files.append({f.name: _STAMP.sub("", f.read_text()) for f in cwd.iterdir()})
     entry, main = runs
     assert (entry.returncode, entry.stdout, entry.stderr) == (main.returncode, main.stdout,
                                                               main.stderr)
+    assert files[0] == files[1]
     assert entry.returncode == code
     if argv == ["--version"]:
         assert entry.stdout == f"rtl {cli.__version__}\n"
-    elif code == 0:
-        assert json.loads(entry.stdout)["count"] == "45936"
-    else:
+    elif argv == ["--help"]:
+        assert entry.stdout.startswith("usage: rtl ")
+    elif code:
         assert entry.stdout == "" and entry.stderr
+    elif argv[0] == "cliques":
+        assert len(entry.stdout) > 8192
+    elif argv[0] == "search":
+        table = files[0]["table.jsonl"].splitlines()
+        assert len(table) == json.loads(entry.stdout)["classes"] == 34
+        assert set(files[0]) == {"cache.jsonl", "table.jsonl"}
+    else:
+        assert json.loads(entry.stdout)["count"] == "45936"
+        fp = fingerprint("count", {"graph": "C~", "r": 6, "k": 4}, cli.__version__)
+        assert entry.stderr == (f"# cache hit {fp}\n" if hit else "")
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["count", "--input", "-", "-r", "6", "--workers", "2"], "C~\nBw\n"),
+    (["search", "-n", "4", "-r", "6", "--workers", "2"], ""),
+], ids=["count", "search"])
+def test_no_process_outlives_the_process_entry(argv, stdin):
+    # run() ends the process without joining anything, so a pool worker left
+    # running would hold stdout's pipe open and the read would never see EOF
+    proc = subprocess.run([sys.executable, "-m", "rtlab.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    if argv[0] == "count":
+        assert [rec["count"] for rec in records] == ["45936", "216"]
+    else:
+        assert [(rec["classes"], rec["best_count"]) for rec in records] == [(11, "45936")]
 
 
 @pytest.mark.parametrize("argv, stdin", [
